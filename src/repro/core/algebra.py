@@ -523,6 +523,14 @@ def run(op: Op, db: dict[str, DataFrame]) -> DataFrame:
     raise TypeError(f"unknown operator {op!r}")
 
 
+def materialize(db: dict[str, DataFrame]) -> dict[str, DataFrame]:
+    """Cut every table's lineage to a ``LogicalRDD`` leaf (lazy local
+    checkpoint): the first action that reads a table fills its blocks, and
+    every later trace, stats aggregation and schema probe reuses them instead
+    of re-analyzing and re-executing the source plan."""
+    return {name: df.localCheckpoint(eager=False) for name, df in db.items()}
+
+
 def schema_of(op: Op, db: dict[str, DataFrame]):
     """Lazily analyzed output schema (no job is launched)."""
     return run(op, db).schema

@@ -22,7 +22,7 @@ import itertools
 from dataclasses import dataclass
 
 from . import algebra as A
-from .backtrace import Backtrace, backtrace, resolve_source
+from .backtrace import Backtrace, SchemaCache, backtrace, resolve_source
 from .nip import Tup
 
 
@@ -105,8 +105,16 @@ def enumerate_sas(
     db,
     alt_map: dict[str, list[str]],
     max_sas: int = 16,
+    orig_bt: Backtrace | None = None,
 ) -> list[SchemaAlternative]:
-    """Enumerate and prune SAs; the original query is always ``sa_id=1``."""
+    """Enumerate and prune SAs; the original query is always ``sa_id=1``.
+
+    ``orig_bt``, when given, is ``backtrace(query, whynot, db)`` already
+    computed by the caller; it becomes S₁'s backtrace.
+    """
+    # Every reference resolves against the original query, so one op-id keyed
+    # schema cache serves them all.
+    ctx = SchemaCache(db)
     choices: list[tuple[int, str, str, list[str]]] = []  # (op_id, subst_key, attr, options)
     for op in A.walk(query):
         if isinstance(op, A.Project):
@@ -119,7 +127,7 @@ def enumerate_sas(
             resolved = None
             for child in op.children():
                 try:
-                    resolved = resolve_source(child, q, db)
+                    resolved = resolve_source(child, q, db, ctx)
                 except Exception:
                     resolved = None
                 if resolved is not None:
@@ -133,7 +141,8 @@ def enumerate_sas(
 
     orig_schema = _schema_sig(A.run(query, db).schema)
     sas: list[SchemaAlternative] = [
-        SchemaAlternative(1, query, frozenset(), backtrace(query, whynot, db), "original")
+        SchemaAlternative(1, query, frozenset(), orig_bt or backtrace(query, whynot, db),
+                          "original")
     ]
 
     combos = itertools.product(*(range(len(opts)) for _, _, _, opts in choices))

@@ -78,7 +78,10 @@ def _drop_fields(t: Tup, names: set[str]) -> Tup:
     return Tup({k: v for k, v in t.fields if k not in names})
 
 
-class _Ctx:
+class SchemaCache:
+    """Operator output schemas over ``db``, derived once per op id (valid
+    for one query: a rewritten subtree keeps its ids but not its schemas)."""
+
     def __init__(self, db):
         self.db = db
         self._schemas: dict[int, object] = {}
@@ -97,13 +100,13 @@ class _Ctx:
 
 def backtrace(query: A.Op, whynot: Tup, db) -> Backtrace:
     """Compute ``T̄``, per-level NIPs and deferred predicates for ``whynot``."""
-    ctx = _Ctx(db)
+    ctx = SchemaCache(db)
     bt = Backtrace({}, {}, [])
     _walk(query, whynot, ctx, bt)
     return bt
 
 
-def _walk(op: A.Op, nip: Tup, ctx: _Ctx, bt: Backtrace) -> None:
+def _walk(op: A.Op, nip: Tup, ctx: SchemaCache, bt: Backtrace) -> None:
     bt.level_nips[op.op_id] = nip
 
     if isinstance(op, A.TableAccess):
@@ -220,17 +223,20 @@ def _walk(op: A.Op, nip: Tup, ctx: _Ctx, bt: Backtrace) -> None:
     raise TypeError(f"backtrace: unknown operator {op!r}")
 
 
-def resolve_source(op: A.Op, path: str, ctx_db) -> tuple[str, str] | None:
+def resolve_source(
+    op: A.Op, path: str, ctx_db, ctx: SchemaCache | None = None
+) -> tuple[str, str] | None:
     """Resolve an operator-level attribute path to ``(table, source_path)``.
 
     Returns ``None`` when the attribute is computed (no single source). This
     realizes the ``M_sbt`` associations of §5.1 used by schema alternatives.
+    Calls that resolve against the same query may share one ``ctx``, so each
+    operator's schema is derived once.
     """
-    ctx = _Ctx(ctx_db)
-    return _resolve(op, path, ctx)
+    return _resolve(op, path, ctx or SchemaCache(ctx_db))
 
 
-def _resolve(op: A.Op, path: str, ctx: _Ctx) -> tuple[str, str] | None:
+def _resolve(op: A.Op, path: str, ctx: SchemaCache) -> tuple[str, str] | None:
     head = path.split(".")[0]
     rest = path[len(head):]  # includes leading "." or empty
 

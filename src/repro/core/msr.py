@@ -85,7 +85,6 @@ def collect_stats(tr: Traced, extra_cols: tuple[str, ...] = ()) -> pd.DataFrame:
 
     keys = list(tr.layers[0].keys)
     aggs = [F.count(F.lit(1)).alias("_n"), F.sum("_c").alias("_nc")]
-    dtypes = dict(df.dtypes)
     schema_types = {f.name: f.dataType for f in df.schema.fields}
     for fn, attr, out in tr.layers[0].aggs:
         if attr == "*":
@@ -285,22 +284,15 @@ def _success(stats: pd.DataFrame, tr: Traced, E: frozenset[int]) -> bool:
 
 def _side_effect_bounds(stats: pd.DataFrame, tr: Traced, E: frozenset[int]):
     """Loose UB on added/removed top-level rows (paper §5.4, loose bounds)."""
-    rows = _allowed(stats, tr, E)
     changed = [tr.flags[o] for o in E if o in tr.flags]
-    if changed:
-        newly = rows[(rows[changed] == 0).any(axis=1)]
-        ub_plus = int(newly["_n"].sum())
-    else:
-        ub_plus = 0
-    has_filter = bool(E & tr.sel_ops) or any(o in tr.flags for o in E)
-    if has_filter:
-        orig = stats
-        for col in tr.flags.values():
-            orig = orig[orig[col] == 1]
-        ub_minus = int(orig["_n"].sum())
-    else:
-        ub_minus = 0
-    return ub_plus, ub_minus
+    if not changed:
+        return 0, 0
+    rows = _allowed(stats, tr, E)
+    newly = rows[(rows[changed] == 0).any(axis=1)]
+    orig = stats
+    for col in tr.flags.values():
+        orig = orig[orig[col] == 1]
+    return int(newly["_n"].sum()), int(orig["_n"].sum())
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +313,7 @@ def approximate_msrs(
     alt_map = alt_map or {}
     orig_bt = backtrace(query, whynot, db)
     if with_sas and alt_map:
-        sas = enumerate_sas(query, whynot, db, alt_map, max_sas=max_sas)
+        sas = enumerate_sas(query, whynot, db, alt_map, max_sas=max_sas, orig_bt=orig_bt)
     else:
         sas = [SchemaAlternative(1, query, frozenset(), orig_bt, "original")]
 

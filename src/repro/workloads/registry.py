@@ -25,7 +25,7 @@ class Scenario:
     key: str
     group: str  # dblp | twitter | tpch-nested | tpch-flat | crime
     description: str
-    build_db: Callable
+    load_db: Callable  # (spark, sf) -> source tables, lazy plans
     build_query: Callable
     whynot: Callable  # (db, query) -> Tup
     alternatives: Callable
@@ -35,6 +35,11 @@ class Scenario:
     gold: frozenset | None = None
     paper_gold_pos: int | None = None
     baseline: str = "wnpp"  # crime scenarios additionally run conseil
+
+    def build_db(self, spark, sf: float = 0.01) -> dict:
+        """The scenario's database, materialized once: every question asked
+        over it then reads checkpointed blocks, not the source lineage."""
+        return A.materialize(self.load_db(spark, sf))
 
 
 @dataclass
@@ -93,7 +98,7 @@ def _tpch_scenario(key, nested, qfn, wnfn, paper_wn, paper_rpnos, paper_rp,
         key=key,
         group="tpch-nested" if nested else "tpch-flat",
         description=desc,
-        build_db=(lambda spark, sf=0.01: tpch.db_nested(spark, sf))
+        load_db=(lambda spark, sf=0.01: tpch.db_nested(spark, sf))
         if nested
         else (lambda spark, sf=0.01: tpch.db_flat(spark, sf)),
         build_query=lambda: qfn(nested),
