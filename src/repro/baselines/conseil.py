@@ -12,11 +12,11 @@ from ..core import algebra as A
 from ..core.alternatives import SchemaAlternative
 from ..core.backtrace import backtrace
 from ..core.msr import _success, collect_stats
-from ..core.tracing import Traced, trace
+from ..core.tracing import trace
 from .wnpp import _maybe_blame_join_partner, _path_steps, _successors
 
 
-def conseil(query: A.Op, db, whynot, traced: Traced | None = None) -> list[frozenset[int]]:
+def conseil(query: A.Op, db, whynot) -> list[frozenset[int]]:
     """Iteratively relax frontier-picky operators until the answer appears.
 
     If relaxing every reachable picky operator still fails to produce the
@@ -24,10 +24,8 @@ def conseil(query: A.Op, db, whynot, traced: Traced | None = None) -> list[froze
     picky operators it found (its behaviour in C3, where the join cannot be
     meaningfully fixed).
     """
-    bt = backtrace(query, whynot, db)
-    if traced is None:
-        sa1 = SchemaAlternative(1, query, frozenset(), bt, "original")
-        traced = trace(sa1, db, bt)
+    bt = backtrace(query, whynot, A.SchemaCache(db))
+    traced = trace(SchemaAlternative(1, query, frozenset(), bt, "original"), db, bt)
     stats = collect_stats(traced, extra_cols=tuple(traced.compat_tables.values()))
 
     flagged = set(traced.flags)
@@ -54,7 +52,7 @@ def conseil(query: A.Op, db, whynot, traced: Traced | None = None) -> list[froze
                 )
                 if cur == 0 and prev > 0:
                     frontier = _maybe_blame_join_partner(
-                        query, db, op_id, table, stats, traced
+                        query, op_id, table, stats, traced
                     )
                     break
                 prev = cur

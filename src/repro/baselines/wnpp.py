@@ -61,12 +61,10 @@ def _successors(stats: pd.DataFrame, tr: Traced, compat_col: str | None, flag_id
     return int(rows["_n"].sum()) if len(rows) else 0
 
 
-def wnpp(query: A.Op, db, whynot, traced: Traced | None = None) -> list[frozenset[int]]:
+def wnpp(query: A.Op, db, whynot) -> list[frozenset[int]]:
     """Return WN++'s explanations (each a singleton operator set)."""
-    bt = backtrace(query, whynot, db)
-    if traced is None:
-        sa1 = SchemaAlternative(1, query, frozenset(), bt, "original")
-        traced = trace(sa1, db, bt)
+    bt = backtrace(query, whynot, A.SchemaCache(db))
+    traced = trace(SchemaAlternative(1, query, frozenset(), bt, "original"), db, bt)
     stats = collect_stats(traced, extra_cols=tuple(traced.compat_tables.values()))
 
     flagged = set(traced.flags)
@@ -94,14 +92,14 @@ def wnpp(query: A.Op, db, whynot, traced: Traced | None = None) -> list[frozense
             prev = cur
         picked = frontier if frontier is not None else last_decreasing
         if picked is not None:
-            picked = _maybe_blame_join_partner(query, db, picked, table, stats, traced)
+            picked = _maybe_blame_join_partner(query, picked, table, stats, traced)
         if picked is not None and picked not in seen:
             seen.add(picked)
             explanations.append(frozenset({picked}))
     return explanations
 
 
-def _maybe_blame_join_partner(query, db, picked, table, stats, traced):
+def _maybe_blame_join_partner(query, picked, table, stats, traced):
     """Why-Not's partner analysis: when the frontier is a join, check whether
     an operator on the *other* side emptied the potential join partners
     entirely (e.g. C2's σ⁴ removing every witness); blame that operator

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field, replace
 
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
+from pyspark.sql.types import StructType
 
 from .exprs import Attr, Pred, Scalar
 
@@ -452,6 +453,54 @@ def _per_tuple_agg_col(op: AggPerTuple):
     raise ValueError(op.fn)
 
 
+def equi_on(l: DataFrame, r: DataFrame, cond):
+    """The conjunctive equality condition of an equi-join."""
+    on = None
+    for lc, rc in cond:
+        this = l[lc] == r[rc]
+        on = this if on is None else (on & this)
+    return on
+
+
+def rename_cols(df: DataFrame, mapping) -> DataFrame:
+    for old, new in mapping:
+        df = df.withColumnRenamed(old, new)
+    return df
+
+
+def explode_promote(df: DataFrame, attr: str, outer: bool) -> DataFrame:
+    """Relation flatten: explode ``attr`` and promote the element fields."""
+    ex = F.explode_outer(attr) if outer else F.explode(attr)
+    df = df.select("*", ex.alias("__e")).drop(attr)
+    return df.select(*[c for c in df.columns if c != "__e"], "__e.*")
+
+
+def flatten_tuple(df: DataFrame, attr: str) -> DataFrame:
+    """Tuple flatten: promote the fields of struct ``attr``."""
+    inner = [f.name for f in struct_type_at(df.schema, attr).fields]
+    promoted = [F.col(f"{attr}.{f}").alias(f) for f in inner]
+    if "." in attr:  # nested struct path: promote fields, keep the rest
+        return df.select("*", *promoted)
+    return df.select(*[c for c in df.columns if c != attr], *promoted)
+
+
+def nest_tuple(df: DataFrame, attrs_in, out: str) -> DataFrame:
+    rest = [c for c in df.columns if c not in attrs_in]
+    return df.select(*rest, F.struct(*attrs_in).alias(out))
+
+
+def agg_inputs(df: DataFrame, aggs):
+    """Materialize expression-aggregate inputs as ``_in_<out>`` columns;
+    returns the frame and the aggregate specs over plain column names."""
+    norm = []
+    for f, a, o in aggs:
+        if isinstance(a, Scalar):
+            df = df.withColumn(f"_in_{o}", a.to_col())
+            a = f"_in_{o}"
+        norm.append((f, a, o))
+    return df, tuple(norm)
+
+
 def run(op: Op, db: dict[str, DataFrame]) -> DataFrame:
     """Execute ``op`` with the original NRAB semantics of Table 1."""
     if isinstance(op, TableAccess):
@@ -462,38 +511,19 @@ def run(op: Op, db: dict[str, DataFrame]) -> DataFrame:
         df = run(op.child, db)
         return df.select(*[e.to_col().alias(o) for o, e in op.items])
     if isinstance(op, Rename):
-        df = run(op.child, db)
-        for old, new in op.mapping:
-            df = df.withColumnRenamed(old, new)
-        return df
+        return rename_cols(run(op.child, db), op.mapping)
     if isinstance(op, Join):
         l, r = run(op.left, db), run(op.right, db)
-        on = None
-        for lc, rc in op.cond:
-            this = l[lc] == r[rc]
-            on = this if on is None else (on & this)
         how = {"inner": "inner", "left": "left_outer", "right": "right_outer", "full": "full_outer"}[
             op.kind
         ]
-        return l.join(r, on=on, how=how)
+        return l.join(r, on=equi_on(l, r, op.cond), how=how)
     if isinstance(op, FlattenRel):
-        df = run(op.child, db)
-        ex = F.explode_outer(op.attr) if op.outer else F.explode(op.attr)
-        df = df.select("*", ex.alias("__e")).drop(op.attr)
-        return df.select(*[c for c in df.columns if c != "__e"], "__e.*")
+        return explode_promote(run(op.child, db), op.attr, op.outer)
     if isinstance(op, FlattenTup):
-        df = run(op.child, db)
-        inner = [f.name for f in struct_type_at(df.schema, op.attr).fields]
-        if "." in op.attr:  # nested struct path: promote fields, keep the rest
-            return df.select(
-                "*", *[F.col(f"{op.attr}.{f}").alias(f) for f in inner]
-            )
-        cols = [c for c in df.columns if c != op.attr]
-        return df.select(*cols, *[F.col(f"{op.attr}.{f}").alias(f) for f in inner])
+        return flatten_tuple(run(op.child, db), op.attr)
     if isinstance(op, NestTup):
-        df = run(op.child, db)
-        rest = [c for c in df.columns if c not in op.attrs_in]
-        return df.select(*rest, F.struct(*op.attrs_in).alias(op.out))
+        return nest_tuple(run(op.child, db), op.attrs_in, op.out)
     if isinstance(op, NestRel):
         df = run(op.child, db)
         rest = [c for c in df.columns if c not in op.attrs_in]
@@ -501,13 +531,7 @@ def run(op: Op, db: dict[str, DataFrame]) -> DataFrame:
             F.collect_list(F.struct(*op.attrs_in)).alias(op.out)
         )
     if isinstance(op, GroupAgg):
-        df = run(op.child, db)
-        norm = []
-        for f, a, o in op.aggs:
-            if isinstance(a, Scalar):
-                df = df.withColumn(f"_in_{o}", a.to_col())
-                a = f"_in_{o}"
-            norm.append((f, a, o))
+        df, norm = agg_inputs(run(op.child, db), op.aggs)
         aggs = [_agg_col(f, a).alias(o) for f, a, o in norm]
         if op.keys:
             keyed = df.groupBy(*[F.col(k).alias(o) for k, o in zip(op.keys, op.key_out)])
@@ -523,17 +547,38 @@ def run(op: Op, db: dict[str, DataFrame]) -> DataFrame:
     raise TypeError(f"unknown operator {op!r}")
 
 
+class SchemaCache:
+    """Operator output schemas over one database ``db``, each derived once
+    by lazy analysis (no job is launched).
+
+    Keyed by operator value: operators are frozen dataclasses whose equality
+    covers op id, parameters and the whole subtree, so a reparameterized
+    operator gets its own entry while every unchanged subtree is shared. One
+    cache thus serves a query and all its schema alternatives over ``db``.
+    """
+
+    def __init__(self, db: dict[str, DataFrame]):
+        self.db = db
+        self._schemas: dict[Op, StructType] = {}
+
+    def schema(self, op: Op) -> StructType:
+        if op not in self._schemas:
+            self._schemas[op] = run(op, self.db).schema
+        return self._schemas[op]
+
+    def columns(self, op: Op) -> list[str]:
+        return [f.name for f in self.schema(op).fields]
+
+    def field_type(self, op: Op, name: str):
+        return struct_type_at(self.schema(op), name)
+
+
 def materialize(db: dict[str, DataFrame]) -> dict[str, DataFrame]:
     """Cut every table's lineage to a ``LogicalRDD`` leaf (lazy local
     checkpoint): the first action that reads a table fills its blocks, and
     every later trace, stats aggregation and schema probe reuses them instead
     of re-analyzing and re-executing the source plan."""
     return {name: df.localCheckpoint(eager=False) for name, df in db.items()}
-
-
-def schema_of(op: Op, db: dict[str, DataFrame]):
-    """Lazily analyzed output schema (no job is launched)."""
-    return run(op, db).schema
 
 
 def struct_type_at(schema, path: str):

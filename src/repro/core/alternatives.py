@@ -22,7 +22,7 @@ import itertools
 from dataclasses import dataclass
 
 from . import algebra as A
-from .backtrace import Backtrace, SchemaCache, backtrace, resolve_source
+from .backtrace import Backtrace, backtrace, resolve_source
 from .nip import Tup
 
 
@@ -66,31 +66,24 @@ def _has_path(schema, path: str) -> bool:
         return False
 
 
-def _refs_valid(query: A.Op, db) -> bool:
+def _refs_valid(query: A.Op, schemas: A.SchemaCache) -> bool:
     """Structural check: every operator parameter attribute must exist in the
     operator's input schema. Catalyst's ``ResolveMissingReferences`` would
     otherwise silently resolve a filter on a projected-away column, letting
     invalid SAs (Figure 3's dashed subtrees) slip through schema validation.
     """
-    schemas: dict[int, object] = {}
-
-    def schema_of(op):
-        if op.op_id not in schemas:
-            schemas[op.op_id] = A.run(op, db).schema
-        return schemas[op.op_id]
-
     for op in A.walk(query):
         children = op.children()
         if not children:
             continue
         try:
             if isinstance(op, A.Join):
-                l, r = (schema_of(c) for c in children)
+                l, r = (schemas.schema(c) for c in children)
                 for lc, rc in op.cond:
                     if not _has_path(l, lc) or not _has_path(r, rc):
                         return False
                 continue
-            child_schema = schema_of(children[0])
+            child_schema = schemas.schema(children[0])
             for p in op.param_attrs():
                 if p != "*" and not _has_path(child_schema, p):
                     return False
@@ -102,19 +95,11 @@ def _refs_valid(query: A.Op, db) -> bool:
 def enumerate_sas(
     query: A.Op,
     whynot: Tup,
-    db,
+    schemas: A.SchemaCache,
     alt_map: dict[str, list[str]],
     max_sas: int = 16,
-    orig_bt: Backtrace | None = None,
 ) -> list[SchemaAlternative]:
-    """Enumerate and prune SAs; the original query is always ``sa_id=1``.
-
-    ``orig_bt``, when given, is ``backtrace(query, whynot, db)`` already
-    computed by the caller; it becomes S₁'s backtrace.
-    """
-    # Every reference resolves against the original query, so one op-id keyed
-    # schema cache serves them all.
-    ctx = SchemaCache(db)
+    """Enumerate and prune SAs; the original query is always ``sa_id=1``."""
     choices: list[tuple[int, str, str, list[str]]] = []  # (op_id, subst_key, attr, options)
     for op in A.walk(query):
         if isinstance(op, A.Project):
@@ -127,7 +112,7 @@ def enumerate_sas(
             resolved = None
             for child in op.children():
                 try:
-                    resolved = resolve_source(child, q, db, ctx)
+                    resolved = resolve_source(child, q, schemas)
                 except Exception:
                     resolved = None
                 if resolved is not None:
@@ -139,10 +124,9 @@ def enumerate_sas(
             opts = [q] + [_derive_op_level_name(q, src, alt) for alt in alts]
             choices.append((op.op_id, key, q, opts))
 
-    orig_schema = _schema_sig(A.run(query, db).schema)
+    orig_schema = _schema_sig(schemas.schema(query))
     sas: list[SchemaAlternative] = [
-        SchemaAlternative(1, query, frozenset(), orig_bt or backtrace(query, whynot, db),
-                          "original")
+        SchemaAlternative(1, query, frozenset(), backtrace(query, whynot, schemas), "original")
     ]
 
     combos = itertools.product(*(range(len(opts)) for _, _, _, opts in choices))
@@ -162,15 +146,15 @@ def enumerate_sas(
             continue
         q2 = A.rewrite(query, subst)
         try:
-            if not _refs_valid(q2, db):
+            if not _refs_valid(q2, schemas):
                 continue
-            sig = _schema_sig(A.run(q2, db).schema)
+            sig = _schema_sig(schemas.schema(q2))
         except Exception:
             continue  # invalid query under this substitution — pruned
         if sig != orig_schema:
             continue  # output schema is fixed by definition — pruned
         try:
-            bt2 = backtrace(q2, whynot, db)
+            bt2 = backtrace(q2, whynot, schemas)
         except Exception:
             continue
         sas.append(

@@ -10,17 +10,17 @@ output schema) into:
   their level instead of blindly propagating source-level compatibility;
 - ``deferred`` — value predicates that cannot be pushed through an operator
   (aggregate outputs, arithmetically computed columns). They are checked later
-  by the feasibility analysis (§ feasibility.py);
+  by the feasibility analysis of the MSR step (``msr.py``);
 - ``resolve_source`` — maps an operator-level attribute reference to its
   ``(table, source_path)``, the paper's ``M_sbt`` associations.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import algebra as A
 from .exprs import Attr
-from .nip import WILD, Bag, Nip, Tup, Val, ValPred, Wild
+from .nip import WILD, Bag, Nip, Tup, Wild
 
 
 @dataclass
@@ -78,35 +78,14 @@ def _drop_fields(t: Tup, names: set[str]) -> Tup:
     return Tup({k: v for k, v in t.fields if k not in names})
 
 
-class SchemaCache:
-    """Operator output schemas over ``db``, derived once per op id (valid
-    for one query: a rewritten subtree keeps its ids but not its schemas)."""
-
-    def __init__(self, db):
-        self.db = db
-        self._schemas: dict[int, object] = {}
-
-    def columns(self, op: A.Op) -> list[str]:
-        return [f.name for f in self.schema(op).fields]
-
-    def schema(self, op: A.Op):
-        if op.op_id not in self._schemas:
-            self._schemas[op.op_id] = A.run(op, self.db).schema
-        return self._schemas[op.op_id]
-
-    def field_type(self, op: A.Op, name: str):
-        return A.struct_type_at(self.schema(op), name)
-
-
-def backtrace(query: A.Op, whynot: Tup, db) -> Backtrace:
+def backtrace(query: A.Op, whynot: Tup, schemas: A.SchemaCache) -> Backtrace:
     """Compute ``T̄``, per-level NIPs and deferred predicates for ``whynot``."""
-    ctx = SchemaCache(db)
     bt = Backtrace({}, {}, [])
-    _walk(query, whynot, ctx, bt)
+    _walk(query, whynot, schemas, bt)
     return bt
 
 
-def _walk(op: A.Op, nip: Tup, ctx: SchemaCache, bt: Backtrace) -> None:
+def _walk(op: A.Op, nip: Tup, schemas: A.SchemaCache, bt: Backtrace) -> None:
     bt.level_nips[op.op_id] = nip
 
     if isinstance(op, A.TableAccess):
@@ -115,7 +94,7 @@ def _walk(op: A.Op, nip: Tup, ctx: SchemaCache, bt: Backtrace) -> None:
         return
 
     if isinstance(op, (A.Select, A.Dedup)):
-        _walk(op.children()[0], nip, ctx, bt)
+        _walk(op.children()[0], nip, schemas, bt)
         return
 
     if isinstance(op, A.Project):
@@ -129,42 +108,42 @@ def _walk(op: A.Op, nip: Tup, ctx: SchemaCache, bt: Backtrace) -> None:
                 out = _set_path(out, expr.path, f)
             else:  # computed column — defer the value predicate
                 bt.deferred.append(Deferred(op.op_id, out_name, f))
-        _walk(child, out, ctx, bt)
+        _walk(child, out, schemas, bt)
         return
 
     if isinstance(op, A.Rename):
         inv = {new: old for old, new in op.mapping}
         out = Tup({inv.get(k, k): v for k, v in nip.fields})
-        _walk(op.child, out, ctx, bt)
+        _walk(op.child, out, schemas, bt)
         return
 
     if isinstance(op, A.Join):
-        lcols = set(ctx.columns(op.left))
-        rcols = set(ctx.columns(op.right))
+        lcols = set(schemas.columns(op.left))
+        rcols = set(schemas.columns(op.right))
         lnip = Tup({k: v for k, v in nip.fields if k in lcols})
         rnip = Tup({k: v for k, v in nip.fields if k in rcols and k not in lcols})
-        _walk(op.left, lnip, ctx, bt)
-        _walk(op.right, rnip, ctx, bt)
+        _walk(op.left, lnip, schemas, bt)
+        _walk(op.right, rnip, schemas, bt)
         return
 
     if isinstance(op, A.FlattenRel):
-        elem_fields = [f.name for f in ctx.field_type(op.child, op.attr).elementType.fields]
+        elem_fields = [f.name for f in schemas.field_type(op.child, op.attr).elementType.fields]
         elem_constraints = {
             k: v for k, v in nip.fields if k in elem_fields and not v.is_trivial()
         }
         rest = Tup({k: v for k, v in nip.fields if k not in elem_fields})
         if elem_constraints:
             rest = _set_path(rest, op.attr, Bag([Tup(elem_constraints)], star=True))
-        _walk(op.child, rest, ctx, bt)
+        _walk(op.child, rest, schemas, bt)
         return
 
     if isinstance(op, A.FlattenTup):
-        tfields = [f.name for f in ctx.field_type(op.child, op.attr).fields]
+        tfields = [f.name for f in schemas.field_type(op.child, op.attr).fields]
         inner = {k: v for k, v in nip.fields if k in tfields and not v.is_trivial()}
         rest = Tup({k: v for k, v in nip.fields if k not in tfields})
         if inner:
             rest = _set_path(rest, op.attr, Tup(inner))
-        _walk(op.child, rest, ctx, bt)
+        _walk(op.child, rest, schemas, bt)
         return
 
     if isinstance(op, A.NestTup):
@@ -172,7 +151,7 @@ def _walk(op: A.Op, nip: Tup, ctx: SchemaCache, bt: Backtrace) -> None:
         rest = _drop_fields(nip, {op.out})
         if isinstance(f, Tup):
             rest = _merge(rest, f)
-        _walk(op.child, rest, ctx, bt)
+        _walk(op.child, rest, schemas, bt)
         return
 
     if isinstance(op, A.NestRel):
@@ -186,7 +165,7 @@ def _walk(op: A.Op, nip: Tup, ctx: SchemaCache, bt: Backtrace) -> None:
                 if isinstance(elem, Tup) and not elem.is_trivial():
                     rest = _merge(rest, elem)
                     break
-        _walk(op.child, rest, ctx, bt)
+        _walk(op.child, rest, schemas, bt)
         return
 
     if isinstance(op, A.GroupAgg):
@@ -200,7 +179,7 @@ def _walk(op: A.Op, nip: Tup, ctx: SchemaCache, bt: Backtrace) -> None:
                 bt.deferred.append(Deferred(op.op_id, k, v))
             elif k in key_in:
                 out = _set_path(out, key_in[k], v)
-        _walk(op.child, out, ctx, bt)
+        _walk(op.child, out, schemas, bt)
         return
 
     if isinstance(op, A.AggPerTuple):
@@ -212,87 +191,79 @@ def _walk(op: A.Op, nip: Tup, ctx: SchemaCache, bt: Backtrace) -> None:
                 bt.deferred.append(Deferred(op.op_id, k, v))
             else:
                 out = _set_path(out, k, v)
-        _walk(op.child, out, ctx, bt)
+        _walk(op.child, out, schemas, bt)
         return
 
     if isinstance(op, A.Union):
-        _walk(op.left, nip, ctx, bt)
-        _walk(op.right, nip, ctx, bt)
+        _walk(op.left, nip, schemas, bt)
+        _walk(op.right, nip, schemas, bt)
         return
 
     raise TypeError(f"backtrace: unknown operator {op!r}")
 
 
-def resolve_source(
-    op: A.Op, path: str, ctx_db, ctx: SchemaCache | None = None
-) -> tuple[str, str] | None:
+def resolve_source(op: A.Op, path: str, schemas: A.SchemaCache) -> tuple[str, str] | None:
     """Resolve an operator-level attribute path to ``(table, source_path)``.
 
     Returns ``None`` when the attribute is computed (no single source). This
     realizes the ``M_sbt`` associations of §5.1 used by schema alternatives.
-    Calls that resolve against the same query may share one ``ctx``, so each
-    operator's schema is derived once.
     """
-    return _resolve(op, path, ctx or SchemaCache(ctx_db))
-
-
-def _resolve(op: A.Op, path: str, ctx: SchemaCache) -> tuple[str, str] | None:
     head = path.split(".")[0]
     rest = path[len(head):]  # includes leading "." or empty
 
     if isinstance(op, A.TableAccess):
         return (op.table, path)
     if isinstance(op, (A.Select, A.Dedup)):
-        return _resolve(op.children()[0], path, ctx)
+        return resolve_source(op.children()[0], path, schemas)
     if isinstance(op, A.Project):
         for out, expr in op.items:
             if out == head:
                 if hasattr(expr, "path"):
-                    return _resolve(op.child, expr.path + rest, ctx)
+                    return resolve_source(op.child, expr.path + rest, schemas)
                 return None
         return None
     if isinstance(op, A.Rename):
         inv = {new: old for old, new in op.mapping}
-        return _resolve(op.child, inv.get(head, head) + rest, ctx)
+        return resolve_source(op.child, inv.get(head, head) + rest, schemas)
     if isinstance(op, A.Join):
-        if head in ctx.columns(op.left):
-            return _resolve(op.left, path, ctx)
-        if head in ctx.columns(op.right):
-            return _resolve(op.right, path, ctx)
+        if head in schemas.columns(op.left):
+            return resolve_source(op.left, path, schemas)
+        if head in schemas.columns(op.right):
+            return resolve_source(op.right, path, schemas)
         return None
     if isinstance(op, A.FlattenRel):
-        elem_fields = [f.name for f in ctx.field_type(op.child, op.attr).elementType.fields]
+        elem_fields = [f.name for f in schemas.field_type(op.child, op.attr).elementType.fields]
         if head in elem_fields:
-            return _resolve(op.child, f"{op.attr}.{path}", ctx)
-        return _resolve(op.child, path, ctx)
+            return resolve_source(op.child, f"{op.attr}.{path}", schemas)
+        return resolve_source(op.child, path, schemas)
     if isinstance(op, A.FlattenTup):
-        tfields = [f.name for f in ctx.field_type(op.child, op.attr).fields]
+        tfields = [f.name for f in schemas.field_type(op.child, op.attr).fields]
         if head in tfields:
-            return _resolve(op.child, f"{op.attr}.{path}", ctx)
-        return _resolve(op.child, path, ctx)
+            return resolve_source(op.child, f"{op.attr}.{path}", schemas)
+        return resolve_source(op.child, path, schemas)
     if isinstance(op, A.NestTup):
         if head == op.out:
-            return _resolve(op.child, path[len(head) + 1:], ctx) if rest else None
-        return _resolve(op.child, path, ctx)
+            return resolve_source(op.child, path[len(head) + 1:], schemas) if rest else None
+        return resolve_source(op.child, path, schemas)
     if isinstance(op, A.NestRel):
         if head == op.out:
-            return _resolve(op.child, path[len(head) + 1:], ctx) if rest else None
-        return _resolve(op.child, path, ctx)
+            return resolve_source(op.child, path[len(head) + 1:], schemas) if rest else None
+        return resolve_source(op.child, path, schemas)
     if isinstance(op, A.GroupAgg):
         agg_in = {o: a for _, a, o in op.aggs}
         if head in agg_in:
             src = agg_in[head]
             if src == "*" or not isinstance(src, str):
                 return None  # count(*) or expression aggregate
-            return _resolve(op.child, src + rest, ctx)
+            return resolve_source(op.child, src + rest, schemas)
         key_in = dict(zip(op.key_out, op.keys))
         if head in key_in:
-            return _resolve(op.child, key_in[head] + rest, ctx)
-        return _resolve(op.child, path, ctx)
+            return resolve_source(op.child, key_in[head] + rest, schemas)
+        return resolve_source(op.child, path, schemas)
     if isinstance(op, A.AggPerTuple):
         if head == op.out:
-            return _resolve(op.child, op.attr, ctx)
-        return _resolve(op.child, path, ctx)
+            return resolve_source(op.child, op.attr, schemas)
+        return resolve_source(op.child, path, schemas)
     if isinstance(op, A.Union):
-        return _resolve(op.left, path, ctx)
+        return resolve_source(op.left, path, schemas)
     raise TypeError(f"resolve: unknown operator {op!r}")

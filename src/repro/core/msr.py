@@ -39,6 +39,9 @@ from .backtrace import backtrace
 from .exprs import Cmp, Const, Pred
 from .tracing import Traced, trace
 
+# Largest number of relaxed operators added to an SA's changed operators.
+MAX_EXTRA_OPS = 4
+
 _NUMERIC = (
     T.IntegerType,
     T.LongType,
@@ -306,16 +309,15 @@ def approximate_msrs(
     whynot: N.Tup,
     alt_map: dict[str, list[str]] | None = None,
     with_sas: bool = True,
-    max_extra_ops: int = 4,
-    max_sas: int = 16,
 ) -> list[Explanation]:
     """Run the full §5 pipeline and return ranked explanations."""
-    alt_map = alt_map or {}
-    orig_bt = backtrace(query, whynot, db)
+    schemas = A.SchemaCache(db)
     if with_sas and alt_map:
-        sas = enumerate_sas(query, whynot, db, alt_map, max_sas=max_sas, orig_bt=orig_bt)
+        sas = enumerate_sas(query, whynot, schemas, alt_map)
     else:
-        sas = [SchemaAlternative(1, query, frozenset(), orig_bt, "original")]
+        bt = backtrace(query, whynot, schemas)
+        sas = [SchemaAlternative(1, query, frozenset(), bt, "original")]
+    orig_bt = sas[0].bt
 
     labels = A.labels(query)
     found: dict[frozenset[int], Explanation] = {}
@@ -327,7 +329,7 @@ def approximate_msrs(
             op_id for layer in tr.layers for op_id, _ in layer.post_filters
         ]
         relaxable = [o for o in relaxable if o not in sa.changed_ops]
-        max_k = min(len(relaxable), max_extra_ops)
+        max_k = min(len(relaxable), MAX_EXTRA_OPS)
         for k in range(0, max_k + 1):
             for combo in itertools.combinations(relaxable, k):
                 E = frozenset(combo) | sa.changed_ops

@@ -33,8 +33,8 @@ from pyspark.sql import functions as F
 
 from . import algebra as A
 from .alternatives import SchemaAlternative
-from .backtrace import Backtrace, Deferred
-from .exprs import Pred, Scalar
+from .backtrace import Backtrace
+from .exprs import Pred
 from .nip import Nip, Tup, to_spark_pred
 
 
@@ -54,21 +54,18 @@ class Layer:
 class Traced:
     """Result of instrumented execution for one schema alternative."""
 
-    sa: SchemaAlternative
     df: DataFrame  # annotated, unfiltered, cut below the first group layer
     flags: dict[int, str]  # relaxable op_id → flag column name
     sel_ops: frozenset  # pre-layer selections (admit restrictive reparams)
     layers: list[Layer]
-    cut_nip: Tup  # NIP used for the re-validated `_c`
     compat_tables: dict[str, str]  # table → compat flag column (`_k_<table>`)
     table_order: dict[str, int]  # table → position (for WN++ path analysis)
 
 
 class _Builder:
-    def __init__(self, db, sa: SchemaAlternative, orig_bt: Backtrace):
+    def __init__(self, db, bt: Backtrace, orig_bt: Backtrace):
         self.db = db
-        self.sa = sa
-        self.bt = sa.bt
+        self.bt = bt
         self.orig_bt = orig_bt
         self.flags: dict[int, str] = {}
         self.sel_ops: set[int] = set()
@@ -93,7 +90,6 @@ class _Builder:
             cut_nip = self.bt.level_nips[self.cut_op_child.op_id]
         else:
             cut_nip = self.bt.level_nips[op.op_id]
-        self.cut_nip = cut_nip
         df = df.withColumn(
             "_c", F.coalesce(to_spark_pred(cut_nip), F.lit(False)).cast("int")
         )
@@ -139,9 +135,7 @@ class _Builder:
             df = self._build(op.child)
             if self.layers or self.cut_op_child is not None:
                 return df
-            for old, new in op.mapping:
-                df = df.withColumnRenamed(old, new)
-            return df
+            return A.rename_cols(df, op.mapping)
 
         if isinstance(op, A.Dedup):
             return self._build(op.child)
@@ -151,18 +145,10 @@ class _Builder:
             exists = (F.col(op.attr).isNotNull()) & (F.size(op.attr) > 0)
             if not op.outer:
                 df = self._flag(df, op, exists)
-            df = df.select("*", F.explode_outer(op.attr).alias("__e")).drop(op.attr)
-            return df.select(*[c for c in df.columns if c != "__e"], "__e.*")
+            return A.explode_promote(df, op.attr, outer=True)
 
         if isinstance(op, A.FlattenTup):
-            df = self._build(op.child)
-            inner = [f.name for f in A.struct_type_at(df.schema, op.attr).fields]
-            if "." in op.attr:
-                return df.select(
-                    "*", *[F.col(f"{op.attr}.{f}").alias(f) for f in inner]
-                )
-            cols = [c for c in df.columns if c != op.attr]
-            return df.select(*cols, *[F.col(f"{op.attr}.{f}").alias(f) for f in inner])
+            return A.flatten_tuple(self._build(op.child), op.attr)
 
         if isinstance(op, A.Join):
             l = self._build(op.left)
@@ -170,11 +156,7 @@ class _Builder:
             lm, rm = f"_m{op.op_id}l", f"_m{op.op_id}r"
             l = l.withColumn(lm, F.lit(1))
             r = r.withColumn(rm, F.lit(1))
-            on = None
-            for lc, rc in op.cond:
-                this = l[lc] == r[rc]
-                on = this if on is None else (on & this)
-            df = l.join(r, on=on, how="full_outer")
+            df = l.join(r, on=A.equi_on(l, r, op.cond), how="full_outer")
             matched = F.col(lm).isNotNull() & F.col(rm).isNotNull()
             cond = {
                 "inner": matched,
@@ -189,8 +171,7 @@ class _Builder:
             df = self._build(op.child)
             if self.layers or self.cut_op_child is not None:
                 return df
-            rest = [c for c in df.columns if c not in op.attrs_in]
-            return df.select(*rest, F.struct(*op.attrs_in).alias(op.out))
+            return A.nest_tuple(df, op.attrs_in, op.out)
 
         if isinstance(op, A.NestRel):
             df = self._build(op.child)
@@ -206,16 +187,11 @@ class _Builder:
                 key_nip = self.bt.level_nips[op.child.op_id]
             else:
                 key_nip = Tup({})  # stacked layer: keys are lower-layer outputs
-            norm = []
-            for f, a, o in op.aggs:
-                if isinstance(a, Scalar):  # expression aggregate: materialize
-                    df = df.withColumn(f"_in_{o}", a.to_col())
-                    a = f"_in_{o}"
-                norm.append((f, a, o))
+            df, norm = A.agg_inputs(df, op.aggs)
             layer = Layer(
                 op.op_id,
                 op.keys,
-                tuple(norm),
+                norm,
                 key_nip,
                 value_preds=self._deferred_for(op.op_id),
             )
@@ -227,15 +203,13 @@ class _Builder:
 
 def trace(sa: SchemaAlternative, db, orig_bt: Backtrace) -> Traced:
     """Run instrumented execution of ``sa.query`` over ``db``."""
-    b = _Builder(db, sa, orig_bt)
+    b = _Builder(db, sa.bt, orig_bt)
     df = b.build(sa.query)
     return Traced(
-        sa=sa,
         df=df,
         flags=b.flags,
         sel_ops=frozenset(b.sel_ops),
         layers=b.layers,
-        cut_nip=b.cut_nip,
         compat_tables=b.compat_tables,
         table_order=b.table_order,
     )

@@ -17,27 +17,27 @@ class TestRunningExample:
     def test_two_sas_survive(self, db):
         """Figure 3: only S1 (original) and S2 (flatten address1) remain."""
         q = RE.query()
-        sas = enumerate_sas(q, RE.whynot_nip(), db, RE.alternatives())
+        sas = enumerate_sas(q, RE.whynot_nip(), A.SchemaCache(db), RE.alternatives())
         assert len(sas) == 2
         assert sas[0].is_original
         assert not sas[1].is_original
 
     def test_sa2_changes_only_flatten(self, db):
         q = RE.query()
-        sas = enumerate_sas(q, RE.whynot_nip(), db, RE.alternatives())
+        sas = enumerate_sas(q, RE.whynot_nip(), A.SchemaCache(db), RE.alternatives())
         fl = [o for o in A.walk(q) if isinstance(o, A.FlattenRel)][0]
         assert sas[1].changed_ops == frozenset({fl.op_id})
 
     def test_sa2_query_flattens_address1(self, db):
         q = RE.query()
-        sas = enumerate_sas(q, RE.whynot_nip(), db, RE.alternatives())
+        sas = enumerate_sas(q, RE.whynot_nip(), A.SchemaCache(db), RE.alternatives())
         fl2 = [o for o in A.walk(sas[1].query) if isinstance(o, A.FlattenRel)][0]
         assert fl2.attr == "address1"
 
     def test_sa2_backtrace_swaps_address(self, db):
         """Example 15: t̄₂ constrains address1 instead of address2."""
         q = RE.query()
-        sas = enumerate_sas(q, RE.whynot_nip(), db, RE.alternatives())
+        sas = enumerate_sas(q, RE.whynot_nip(), A.SchemaCache(db), RE.alternatives())
         t2 = sas[1].bt.table_nip("person").as_dict()
         assert isinstance(t2["address1"], N.Bag)
         assert "address2" not in t2 or t2["address2"].is_trivial()
@@ -47,7 +47,7 @@ class TestRunningExample:
         from repro.core.nip import to_spark_pred
 
         q = RE.query()
-        sas = enumerate_sas(q, RE.whynot_nip(), db, RE.alternatives())
+        sas = enumerate_sas(q, RE.whynot_nip(), A.SchemaCache(db), RE.alternatives())
         s1 = db["person"].filter(to_spark_pred(sas[0].bt.table_nip("person")))
         s2 = db["person"].filter(to_spark_pred(sas[1].bt.table_nip("person")))
         assert sorted(r.name for r in s1.collect()) == ["Sue"]
@@ -55,7 +55,7 @@ class TestRunningExample:
 
     def test_no_alternatives_yields_only_original(self, db):
         q = RE.query()
-        sas = enumerate_sas(q, RE.whynot_nip(), db, {})
+        sas = enumerate_sas(q, RE.whynot_nip(), A.SchemaCache(db), {})
         assert len(sas) == 1 and sas[0].is_original
 
 
@@ -83,7 +83,7 @@ class TestPruning:
             [("name", "name"), ("city", "city")],
         )
         sas = enumerate_sas(
-            q, N.tup(city="NY"), {"t": df}, {"addr": ["other"]}
+            q, N.tup(city="NY"), A.SchemaCache({"t": df}), {"addr": ["other"]}
         )
         # flattening `other` yields column `town`, so π[city] fails → pruned
         assert len(sas) == 1
@@ -91,21 +91,21 @@ class TestPruning:
     def test_type_mismatch_pruned(self, spark):
         df = spark.createDataFrame([(1, "a")], "x int, y string")
         q = A.Project(A.TableAccess("t"), [("out", "x")])
-        sas = enumerate_sas(q, N.tup(out=1), {"t": df}, {"x": ["y"]})
+        sas = enumerate_sas(q, N.tup(out=1), A.SchemaCache({"t": df}), {"x": ["y"]})
         # substituting int x by string y changes the output type → pruned
         assert len(sas) == 1
 
     def test_valid_same_type_alternative_kept(self, spark):
         df = spark.createDataFrame([(1, 2)], "x int, y int")
         q = A.Project(A.TableAccess("t"), [("out", "x")])
-        sas = enumerate_sas(q, N.tup(out=2), {"t": df}, {"x": ["y"]})
+        sas = enumerate_sas(q, N.tup(out=2), A.SchemaCache({"t": df}), {"x": ["y"]})
         assert len(sas) == 2
         assert sas[1].bt.table_nip("t").as_dict()["y"] == N.Val(2)
 
     def test_selection_attr_alternative(self, spark):
         df = spark.createDataFrame([(1.0, 2.0)], "tax double, disc double")
         q = A.Select(A.TableAccess("t"), cmp("tax", "<", 1.5))
-        sas = enumerate_sas(q, N.Tup({}), {"t": df}, {"tax": ["disc"]})
+        sas = enumerate_sas(q, N.Tup({}), A.SchemaCache({"t": df}), {"tax": ["disc"]})
         assert len(sas) == 2
         sel2 = [o for o in A.walk(sas[1].query) if isinstance(o, A.Select)][0]
         assert "disc" in sel2.theta.attrs()
@@ -118,7 +118,7 @@ class TestPruning:
         sas = enumerate_sas(
             q,
             N.Tup({}),
-            {"t": df},
+            A.SchemaCache({"t": df}),
             {"a": ["b", "c", "d"], "b": ["a", "c", "d"]},
             max_sas=3,
         )

@@ -1,10 +1,13 @@
 """Schema backtracing (§5.1) — Examples 11 and 12 plus per-operator rules."""
+from collections import Counter
+
 import pytest
 
 from repro.core import algebra as A
 from repro.core import nip as N
 from repro.core.backtrace import backtrace, resolve_source
 from repro.core.exprs import Arith, a, cmp
+from repro.core.msr import approximate_msrs
 from repro.workloads import running_example as RE
 
 
@@ -15,7 +18,7 @@ def db(spark):
 
 @pytest.fixture(scope="module")
 def bt(db):
-    return backtrace(RE.query(), RE.whynot_nip(), db)
+    return backtrace(RE.query(), RE.whynot_nip(), A.SchemaCache(db))
 
 
 class TestRunningExample:
@@ -38,7 +41,7 @@ class TestRunningExample:
 
     def test_level_nip_after_flatten_has_flat_city(self, db):
         q = RE.query()  # fresh query instance: op ids differ from the fixture's
-        bt2 = backtrace(q, RE.whynot_nip(), db)
+        bt2 = backtrace(q, RE.whynot_nip(), A.SchemaCache(db))
         select = [o for o in A.walk(q) if isinstance(o, A.Select)][0]
         lvl = bt2.level_nips[select.op_id]  # NIP over selection's output
         assert lvl.as_dict()["city"] == N.Val("NY")
@@ -50,24 +53,42 @@ class TestRunningExample:
         """M_sbt: σ.year ↝ person.address2.year (Example 12)."""
         q = RE.query()
         sel = [o for o in A.walk(q) if isinstance(o, A.Select)][0]
-        assert resolve_source(sel.child, "year", db) == ("person", "address2.year")
+        assert resolve_source(sel.child, "year", A.SchemaCache(db)) == ("person", "address2.year")
 
     def test_resolve_projection_name(self, db):
         q = RE.query()
         proj = [o for o in A.walk(q) if isinstance(o, A.Project)][0]
-        assert resolve_source(proj.child, "name", db) == ("person", "name")
+        assert resolve_source(proj.child, "name", A.SchemaCache(db)) == ("person", "name")
 
     def test_resolve_flatten_attr(self, db):
         q = RE.query()
         fl = [o for o in A.walk(q) if isinstance(o, A.FlattenRel)][0]
-        assert resolve_source(fl.child, "address2", db) == ("person", "address2")
+        assert resolve_source(fl.child, "address2", A.SchemaCache(db)) == ("person", "address2")
+
+    def test_one_schema_derivation_per_operator(self, db, monkeypatch):
+        """Backtracing, SA pruning and every SA's backtrace share one schema
+        cache: each distinct operator value is analyzed exactly once."""
+        run, depth, derived = A.run, [0], Counter()
+
+        def counting_run(op, tables):
+            if not depth[0]:  # count only outermost calls, not recursion
+                derived[op] += 1
+            depth[0] += 1
+            try:
+                return run(op, tables)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(A, "run", counting_run)
+        approximate_msrs(RE.query(), db, RE.whynot_nip(), RE.alternatives(), with_sas=True)
+        assert derived and set(derived.values()) == {1}
 
 
 class TestOperatorRules:
     def test_project_rename_backtraces(self, spark):
         df = spark.createDataFrame([(1, 2)], "x int, y int")
         q = A.Project(A.TableAccess("t"), [("out", "x")])
-        bt = backtrace(q, N.tup(out=1), {"t": df})
+        bt = backtrace(q, N.tup(out=1), A.SchemaCache({"t": df}))
         assert bt.table_nip("t").as_dict()["x"] == N.Val(1)
 
     def test_project_computed_defers(self, spark):
@@ -75,7 +96,7 @@ class TestOperatorRules:
         q = A.Project(
             A.TableAccess("t"), [("s", Arith("+", a("x"), a("y")))]
         )
-        bt = backtrace(q, N.Tup({"s": N.ValPred(cmp("s", ">", 0))}), {"t": df})
+        bt = backtrace(q, N.Tup({"s": N.ValPred(cmp("s", ">", 0))}), A.SchemaCache({"t": df}))
         assert len(bt.deferred) == 1
         assert bt.deferred[0].out_attr == "s"
         assert bt.table_nip("t").is_trivial()
@@ -83,14 +104,14 @@ class TestOperatorRules:
     def test_rename_backtraces(self, spark):
         df = spark.createDataFrame([(1,)], "x int")
         q = A.Rename(A.TableAccess("t"), {"x": "y"})
-        bt = backtrace(q, N.tup(y=1), {"t": df})
+        bt = backtrace(q, N.tup(y=1), A.SchemaCache({"t": df}))
         assert bt.table_nip("t").as_dict()["x"] == N.Val(1)
 
     def test_join_splits_by_side(self, spark):
         l = spark.createDataFrame([(1, "a")], "k int, lv string")
         r = spark.createDataFrame([(1, "b")], "k2 int, rv string")
         q = A.Join(A.TableAccess("L"), A.TableAccess("R"), [("k", "k2")])
-        bt = backtrace(q, N.tup(lv="a", rv="b"), {"L": l, "R": r})
+        bt = backtrace(q, N.tup(lv="a", rv="b"), A.SchemaCache({"L": l, "R": r}))
         assert bt.table_nip("L").as_dict()["lv"] == N.Val("a")
         assert bt.table_nip("R").as_dict()["rv"] == N.Val("b")
 
@@ -99,7 +120,7 @@ class TestOperatorRules:
             [(1, {"f": "v"})], "id int, s struct<f:string>"
         )
         q = A.FlattenTup(A.TableAccess("t"), "s")
-        bt = backtrace(q, N.tup(f="v", id=1), {"t": df})
+        bt = backtrace(q, N.tup(f="v", id=1), A.SchemaCache({"t": df}))
         d = bt.table_nip("t").as_dict()
         assert d["id"] == N.Val(1)
         assert d["s"].as_dict()["f"] == N.Val("v")
@@ -107,14 +128,16 @@ class TestOperatorRules:
     def test_nest_tup_unfolds(self, spark):
         df = spark.createDataFrame([(1, "x")], "id int, v string")
         q = A.NestTup(A.TableAccess("t"), ["v"], "s")
-        bt = backtrace(q, N.Tup({"s": N.tup(v="x")}), {"t": df})
+        bt = backtrace(q, N.Tup({"s": N.tup(v="x")}), A.SchemaCache({"t": df}))
         assert bt.table_nip("t").as_dict()["v"] == N.Val("x")
 
     def test_groupagg_key_passes_value_defers(self, spark):
         df = spark.createDataFrame([(1, 2.0)], "k int, v double")
         q = A.GroupAgg(A.TableAccess("t"), ["k"], [("sum", "v", "s")])
         bt = backtrace(
-            q, N.Tup({"k": N.Val(1), "s": N.ValPred(cmp("s", ">", 0))}), {"t": df}
+            q,
+            N.Tup({"k": N.Val(1), "s": N.ValPred(cmp("s", ">", 0))}),
+            A.SchemaCache({"t": df}),
         )
         assert bt.table_nip("t").as_dict()["k"] == N.Val(1)
         assert len(bt.deferred) == 1 and bt.deferred[0].op_id == q.op_id
@@ -124,24 +147,24 @@ class TestOperatorRules:
             [("a", [{"x": 1}])], "k string, arr array<struct<x:int>>"
         )
         q = A.AggPerTuple(A.TableAccess("t"), "count", "arr", "cnt", inner="x")
-        bt = backtrace(q, N.Tup({"k": N.Val("a"), "cnt": N.Val(0)}), {"t": df})
+        bt = backtrace(q, N.Tup({"k": N.Val("a"), "cnt": N.Val(0)}), A.SchemaCache({"t": df}))
         assert bt.table_nip("t").as_dict()["k"] == N.Val("a")
         assert [d.out_attr for d in bt.deferred] == ["cnt"]
 
     def test_union_sends_to_both(self, spark):
         df = spark.createDataFrame([(1,)], "x int")
         q = A.Union(A.TableAccess("a"), A.TableAccess("b"))
-        bt = backtrace(q, N.tup(x=1), {"a": df, "b": df})
+        bt = backtrace(q, N.tup(x=1), A.SchemaCache({"a": df, "b": df}))
         assert bt.table_nip("a").as_dict()["x"] == N.Val(1)
         assert bt.table_nip("b").as_dict()["x"] == N.Val(1)
 
     def test_resolve_through_groupagg(self, spark):
         df = spark.createDataFrame([(1, 2.0)], "k int, v double")
         q = A.GroupAgg(A.TableAccess("t"), ["k"], [("sum", "v", "s")])
-        assert resolve_source(q, "s", {"t": df}) == ("t", "v")
-        assert resolve_source(q, "k", {"t": df}) == ("t", "k")
+        assert resolve_source(q, "s", A.SchemaCache({"t": df})) == ("t", "v")
+        assert resolve_source(q, "k", A.SchemaCache({"t": df})) == ("t", "k")
 
     def test_resolve_computed_is_none(self, spark):
         df = spark.createDataFrame([(1.0, 2.0)], "x double, y double")
         q = A.Project(A.TableAccess("t"), [("s", Arith("+", a("x"), a("y")))])
-        assert resolve_source(q, "s", {"t": df}) is None
+        assert resolve_source(q, "s", A.SchemaCache({"t": df})) is None

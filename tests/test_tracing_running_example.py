@@ -17,8 +17,9 @@ def db(spark):
 @pytest.fixture(scope="module")
 def setup(db):
     q = RE.query()
-    bt = backtrace(q, RE.whynot_nip(), db)
-    sas = enumerate_sas(q, RE.whynot_nip(), db, RE.alternatives())
+    schemas = A.SchemaCache(db)
+    bt = backtrace(q, RE.whynot_nip(), schemas)
+    sas = enumerate_sas(q, RE.whynot_nip(), schemas, RE.alternatives())
     return q, bt, sas
 
 
