@@ -11,7 +11,7 @@ from __future__ import annotations
 from ..core import algebra as A
 from ..core.alternatives import SchemaAlternative
 from ..core.backtrace import backtrace
-from ..core.msr import _success, collect_stats
+from ..core.msr import CandidateEval, collect_stats
 from ..core.tracing import trace
 from .wnpp import _maybe_blame_join_partner, _path_steps, _successors
 
@@ -27,6 +27,7 @@ def conseil(query: A.Op, db, whynot) -> list[frozenset[int]]:
     bt = backtrace(query, whynot, A.SchemaCache(db))
     traced = trace(SchemaAlternative(1, query, frozenset(), bt, "original"), db, bt)
     stats = collect_stats(traced, extra_cols=tuple(traced.compat_tables.values()))
+    ev = CandidateEval(stats, traced)
 
     flagged = set(traced.flags)
     if traced.compat_tables:
@@ -36,7 +37,7 @@ def conseil(query: A.Op, db, whynot) -> list[frozenset[int]]:
 
     relaxed: set[int] = set()
     for _ in range(len(flagged) + 1):
-        if relaxed and _success(stats, traced, frozenset(relaxed)):
+        if relaxed and ev.success(frozenset(relaxed)):
             return [frozenset(relaxed)]
         # find the next frontier picky operator under the current relaxation
         frontier = None

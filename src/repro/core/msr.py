@@ -3,7 +3,8 @@
 From each schema alternative's annotated DataFrame we aggregate once into
 per-(group-key, flag-mask) statistics, then evaluate every candidate
 explanation — a set of operator ids = SA-changed operators ∪ a subset of
-relaxable operators — entirely from that small collected table:
+relaxable operators — entirely from that small collected table, encoded once
+per SA as flag bitmasks and float arrays (:class:`CandidateEval`):
 
 * a candidate ``E`` *succeeds* iff a tuple matching the why-not NIP is
   producible when the operators in ``E`` are reparameterized: rows whose
@@ -28,6 +29,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+import numpy as np
 import pandas as pd
 from pyspark.sql import functions as F
 from pyspark.sql import types as T
@@ -109,193 +111,242 @@ def collect_stats(tr: Traced, extra_cols: tuple[str, ...] = ()) -> pd.DataFrame:
 # ---------------------------------------------------------------------------
 # interval feasibility for aggregate value predicates
 # ---------------------------------------------------------------------------
+#
+# Intervals are float arrays with one entry per group (scalars work too);
+# NaN bounds mean "no value achievable".
 
 
-def _nip_interval_feasible(nip: N.Nip, lo, hi) -> bool:
+def _nip_interval_feasible(nip: N.Nip, lo, hi):
     """Is a value satisfying ``nip`` achievable within [lo, hi]?
 
     Subset-achievable aggregate values are approximated as a dense interval
-    (documented in DESIGN.md); ``None`` bounds mean "no value achievable".
+    (documented in DESIGN.md).
     """
-    if lo is None or hi is None:
-        return False
-    if isinstance(nip, N.Wild):
-        return True
-    if isinstance(nip, N.Val):
-        return lo <= nip.value <= hi
+    lo, hi = np.asarray(lo, float), np.asarray(hi, float)
     if isinstance(nip, N.ValPred):
         return _pred_interval_feasible(nip.pred, lo, hi)
-    return True
+    ok = ~np.isnan(lo)
+    if isinstance(nip, N.Val) and ok.any():
+        ok &= (lo <= nip.value) & (nip.value <= hi)
+    return ok
 
 
-def _pred_interval_feasible(pred: Pred, lo, hi) -> bool:
-    if isinstance(pred, Cmp) and isinstance(pred.right, Const):
+def _pred_interval_feasible(pred: Pred, lo, hi):
+    lo, hi = np.asarray(lo, float), np.asarray(hi, float)
+    ok = ~np.isnan(lo)
+    # no achievable value: nothing to compare (the constant may be no number)
+    if isinstance(pred, Cmp) and isinstance(pred.right, Const) and ok.any():
         cst = pred.right.value
-        return {
-            "=": lo <= cst <= hi,
-            "!=": not (lo == hi == cst),
+        ok &= {
+            "=": (lo <= cst) & (cst <= hi),
+            "!=": ~((lo == hi) & (hi == cst)),
             "<": lo < cst,
             "<=": lo <= cst,
             ">": hi > cst,
             ">=": hi >= cst,
         }[pred.op]
-    return True  # uncheckable predicate: optimistic
+    return ok  # uncheckable predicate: optimistic
 
 
-def _agg_interval(fn: str, rows: pd.DataFrame, out: str, subset_ok: bool):
-    """Achievable [lo, hi] for aggregate ``fn`` over the allowed rows."""
-    n = int(rows["_n"].sum())
-    if n == 0:
-        return (None, None)
-    if fn == "count" and f"_cnt_{out}" not in rows.columns:  # count(*)
-        return (1, n) if subset_ok else (n, n)
-    cnt = int(rows[f"_cnt_{out}"].sum())
+def _agg_interval(fn: str, g: dict[str, np.ndarray], out: str, subset_ok: bool):
+    """Achievable [lo, hi] per group for aggregate ``fn`` over its allowed
+    rows; ``g`` holds the per-group totals of :func:`_reduce`."""
+    n = g["_n"]
+    nan = np.full(len(n), np.nan)
+    if fn == "count" and f"_cnt_{out}" not in g:  # count(*)
+        lo = np.ones_like(n) if subset_ok else n
+        return np.where(n > 0, lo, nan), np.where(n > 0, n, nan)
+    cnt = g[f"_cnt_{out}"]
     if fn == "count":
-        if not subset_ok:
-            return (cnt, cnt)
-        lo = 0 if (n - cnt) > 0 else min(1, cnt)
-        return (lo, cnt)
-    if f"_sum_{out}" not in rows.columns:
-        return (None, None)  # non-numeric attr: only count supported
-    if cnt == 0:
-        return (None, None)  # all contributions null → aggregate is null
-    s = float(rows[f"_sum_{out}"].sum())
-    mn = float(rows[f"_min_{out}"].min())
-    mx = float(rows[f"_max_{out}"].max())
+        lo = np.where(n > cnt, 0.0, np.minimum(1.0, cnt)) if subset_ok else cnt
+        return np.where(n > 0, lo, nan), np.where(n > 0, cnt, nan)
+    if f"_sum_{out}" not in g:
+        return nan, nan  # non-numeric attr: only count supported
+    s, mn, mx = g[f"_sum_{out}"], g[f"_min_{out}"], g[f"_max_{out}"]
     if fn == "sum":
-        if not subset_ok:
-            return (s, s)
-        pos = float(rows[f"_pos_{out}"].sum())
-        neg = float(rows[f"_neg_{out}"].sum())
-        lo = neg if neg < 0 else min(mn, pos)
-        hi = pos if pos > 0 else mx
-        return (min(lo, s), max(hi, s))
-    if fn == "avg":
-        return (mn, mx) if subset_ok else (s / cnt, s / cnt)
-    if fn == "min":
-        return (mn, mx) if subset_ok else (mn, mn)
-    if fn == "max":
-        return (mn, mx) if subset_ok else (mx, mx)
-    raise ValueError(fn)
+        if subset_ok:
+            pos, neg = g[f"_pos_{out}"], g[f"_neg_{out}"]
+            lo = np.minimum(np.where(neg < 0, neg, np.minimum(mn, pos)), s)
+            hi = np.maximum(np.where(pos > 0, pos, mx), s)
+        else:
+            lo = hi = s
+    elif fn == "avg":
+        if subset_ok:
+            lo, hi = mn, mx
+        else:
+            lo = hi = np.divide(s, cnt, out=nan.copy(), where=cnt > 0)
+    elif fn == "min":
+        lo, hi = mn, (mx if subset_ok else mn)
+    elif fn == "max":
+        lo, hi = (mn if subset_ok else mx), mx
+    else:
+        raise ValueError(fn)
+    ok = (n > 0) & (cnt > 0)  # all contributions null → aggregate is null
+    return np.where(ok, lo, nan), np.where(ok, hi, nan)
 
 
 # ---------------------------------------------------------------------------
 # candidate evaluation
 # ---------------------------------------------------------------------------
 
+_SUMMED = ("_cnt_", "_sum_", "_pos_", "_neg_")
 
-def _allowed(stats: pd.DataFrame, tr: Traced, E: frozenset[int]) -> pd.DataFrame:
-    out = stats
-    for op_id, col in tr.flags.items():
-        if op_id not in E:
-            out = out[out[col] == 1]
+
+def _columns(stats: pd.DataFrame) -> dict[str, np.ndarray]:
+    """The count and aggregate columns of a stats table as float arrays.
+
+    Nulls become 0 in the summed columns (pandas' ``sum`` skips them) and
+    stay NaN in the ``_min_``/``_max_`` columns.
+    """
+    out = {}
+    for col in stats.columns:
+        summed = col in ("_n", "_nc") or col.startswith(_SUMMED)
+        if summed or col.startswith(("_min_", "_max_")):
+            v = stats[col].to_numpy(dtype=float, na_value=np.nan)
+            out[col] = np.nan_to_num(v, nan=0.0) if summed else v
     return out
 
 
-def _blocks_consistent(stats: pd.DataFrame, tr: Traced, E: frozenset[int], op_id: int) -> bool:
-    """Necessity (Algorithm 4): op blocks a consistent row otherwise allowed.
+def _reduce(cols: dict[str, np.ndarray], codes: np.ndarray, ngroups: int):
+    """Per-group totals: sums, or min/max ignoring nulls (NaN if none)."""
+    out = {}
+    for col, v in cols.items():
+        if col.startswith(("_min_", "_max_")):
+            acc = np.full(ngroups, np.nan)
+            (np.fmin if col.startswith("_min_") else np.fmax).at(acc, codes, v)
+            out[col] = acc
+        else:
+            out[col] = np.bincount(codes, weights=v, minlength=ngroups)
+    return out
 
-    Post-aggregation selections have no per-row flag; they are necessary iff
-    dropping them from the candidate makes it fail (their predicate blocks
-    the qualifying group).
+
+class CandidateEval:
+    """Evaluates every candidate explanation of one SA from its stats table.
+
+    Built once per SA: the flags of each stats row become two bitmasks
+    (``ones``: flag = 1, ``zeros``: flag = 0; a null flag is in neither),
+    counts and aggregate inputs become float arrays, and the group codes,
+    key-constraint matches and key post-filter results are computed once per
+    group. A candidate ``E`` then costs a few whole-table array reductions:
+    its allowed rows are those whose flags outside ``E`` are all 1.
     """
-    if op_id not in tr.flags:
-        smaller = E - {op_id}
-        return not (smaller and _success(stats, tr, smaller))
-    rows = stats[stats["_c"] == 1]
-    rows = rows[rows[tr.flags[op_id]] == 0]
-    for other, col in tr.flags.items():
-        if other != op_id and other not in E:
-            rows = rows[rows[col] == 1]
-    return bool(len(rows) and rows["_n"].sum() > 0)
 
+    def __init__(self, stats: pd.DataFrame, tr: Traced):
+        if len(tr.flags) > 63:
+            raise ValueError(f"{len(tr.flags)} flagged operators exceed a 64-bit mask")
+        self.tr = tr
+        self.bit = {op_id: 1 << i for i, op_id in enumerate(sorted(tr.flags))}
+        self.full = (1 << len(self.bit)) - 1
+        self.ones = np.zeros(len(stats), np.int64)
+        self.zeros = np.zeros(len(stats), np.int64)
+        for op_id, b in self.bit.items():
+            v = stats[tr.flags[op_id]].to_numpy(dtype=float, na_value=np.nan)
+            self.ones[v == 1] |= b
+            self.zeros[v == 0] |= b
+        self.cols = _columns(stats)
+        self.n = self.cols["_n"]
+        self.consistent = stats["_c"].to_numpy() == 1
+        self.orig_n = int(self.n[self.ones == self.full].sum())
+        if tr.layers:
+            self._init_groups(stats, tr.layers[0])
 
-def _group_level_success(stats, tr: Traced, E: frozenset[int]) -> bool:
-    layer0 = tr.layers[0]
-    rows = _allowed(stats, tr, E)
-    if not len(rows):
-        return False
-    subset_ok = bool(E & tr.sel_ops)
-    key_constraints = {
-        k: v for k, v in layer0.key_nip.fields if k in layer0.keys and not v.is_trivial()
-    }
-    if layer0.keys:
-        groups = rows.groupby(list(layer0.keys), dropna=False, sort=False)
-    else:  # global aggregate (e.g. Q1/Q6): a single group
-        groups = [((), rows)]
+    def _init_groups(self, stats: pd.DataFrame, layer0):
+        keys = list(layer0.keys)
+        if keys:
+            grouped = stats.groupby(keys, dropna=False, sort=False)
+            self.codes = grouped.ngroup().to_numpy()
+            index = grouped.size().index  # in group-code order
+            kds = [dict(zip(keys, kv if len(keys) > 1 else (kv,))) for kv in index]
+        else:  # global aggregate (e.g. Q1/Q6): a single group
+            self.codes = np.zeros(len(stats), np.intp)
+            kds = [{}]
+        self.ngroups = len(kds)
+        constraints = {
+            k: v for k, v in layer0.key_nip.fields if k in keys and not v.is_trivial()
+        }
+        self.key_ok = np.array(
+            [all(N.matches(kd[k], nip) for k, nip in constraints.items()) for kd in kds],
+            dtype=bool,
+        )
+        # post-aggregation selections: (op id, predicate, aggregate output it
+        # reads or None, precomputed per-group result if it reads a key)
+        outs = {out for _, _, out in layer0.aggs}
+        self.post = []
+        for op_id, pred in layer0.post_filters:
+            attrs = list(pred.attrs())
+            ref = attrs[0] if attrs else None
+            if ref in outs:
+                self.post.append((op_id, pred, ref, None))
+            elif ref in keys:
+                held = np.array([bool(pred.holds(kd[ref])) for kd in kds], dtype=bool)
+                self.post.append((op_id, pred, None, held))
 
-    qualifying = 0
-    for key_vals, g in groups:
-        if not isinstance(key_vals, tuple):
-            key_vals = (key_vals,)
-        kd = dict(zip(layer0.keys, key_vals))
-        if any(not N.matches(kd[k], nip) for k, nip in key_constraints.items()):
-            continue
-        if g["_nc"].sum() <= 0:
-            continue  # no re-validated-consistent contributor in this group
-        ok = True
-        agg_by_out = {out: (fn, attr) for fn, attr, out in layer0.aggs}
-        intervals = {}
-        for out, (fn, attr) in agg_by_out.items():
-            intervals[out] = _agg_interval(fn, g, out, subset_ok)
+    def _bits(self, E: frozenset[int]) -> int:
+        return sum(self.bit.get(op_id, 0) for op_id in E)
+
+    def _allowed(self, E: frozenset[int]) -> np.ndarray:
+        return (self.ones | self._bits(E)) == self.full
+
+    def success(self, E: frozenset[int]) -> bool:
+        """Is a tuple matching the why-not NIP producible once ``E`` is
+        reparameterized?"""
+        allowed = self._allowed(E)
+        if not self.tr.layers:
+            return bool(self.n[allowed & self.consistent].sum() > 0)
+        if not allowed.any():
+            return False
+        layer0 = self.tr.layers[0]
+        g = _reduce({c: v[allowed] for c, v in self.cols.items()},
+                    self.codes[allowed], self.ngroups)
+        subset_ok = bool(E & self.tr.sel_ops)
+        intervals = {out: _agg_interval(fn, g, out, subset_ok) for fn, _, out in layer0.aggs}
+        # a qualifying group has a re-validated-consistent contributor
+        ok = self.key_ok & (g["_nc"] > 0)
         for out, nips in layer0.value_preds.items():
-            lo, hi = intervals.get(out, (None, None))
-            if not all(_nip_interval_feasible(nv, lo, hi) for nv in nips):
-                ok = False
-                break
-        if ok:
-            for op_id, pred in layer0.post_filters:
-                if op_id in E:
-                    continue
-                attrs = list(pred.attrs())
-                ref = attrs[0] if attrs else None
-                if ref in intervals:
-                    lo, hi = intervals[ref]
-                    if lo is None or not _pred_interval_feasible(pred, lo, hi):
-                        ok = False
-                        break
-                elif ref in kd:
-                    if not pred.holds(kd[ref]):
-                        ok = False
-                        break
-        if ok:
-            qualifying += 1
-    if qualifying == 0:
-        return False
-    if len(tr.layers) > 1:
-        # Stacked layer (e.g. Q13's custdist): its key constraints were
-        # deferred into layer0.value_preds; its own value predicates are
-        # checked against [1, #qualifying lower-layer groups].
-        for out, nips in tr.layers[1].value_preds.items():
-            if not all(_nip_interval_feasible(nv, 1, qualifying) for nv in nips):
-                return False
-        for op_id, pred in tr.layers[1].post_filters:
-            if op_id in E:
-                continue
-            if not _pred_interval_feasible(pred, 1, qualifying):
-                return False
-    return True
+            lo, hi = intervals.get(out, (np.nan, np.nan))
+            for nv in nips:
+                ok &= _nip_interval_feasible(nv, lo, hi)
+        for op_id, pred, ref, held in self.post:
+            if op_id not in E:
+                ok &= held if ref is None else _pred_interval_feasible(pred, *intervals[ref])
+        qualifying = int(ok.sum())
+        if qualifying == 0:
+            return False
+        if len(self.tr.layers) > 1:
+            # Stacked layer (e.g. Q13's custdist): its key constraints were
+            # deferred into layer0.value_preds; its own value predicates are
+            # checked against [1, #qualifying lower-layer groups].
+            layer1 = self.tr.layers[1]
+            for nips in layer1.value_preds.values():
+                if not all(_nip_interval_feasible(nv, 1, qualifying) for nv in nips):
+                    return False
+            for op_id, pred in layer1.post_filters:
+                if op_id not in E and not _pred_interval_feasible(pred, 1, qualifying):
+                    return False
+        return True
 
+    def necessary(self, E: frozenset[int], op_id: int) -> bool:
+        """Necessity (Algorithm 4): ``op_id`` blocks a consistent row that
+        ``E`` otherwise allows.
 
-def _success(stats: pd.DataFrame, tr: Traced, E: frozenset[int]) -> bool:
-    if tr.layers:
-        return _group_level_success(stats, tr, E)
-    rows = _allowed(stats, tr, E)
-    rows = rows[rows["_c"] == 1]
-    return bool(len(rows) and rows["_n"].sum() > 0)
+        Post-aggregation selections have no per-row flag; they are necessary
+        iff dropping them from the candidate makes it fail (their predicate
+        blocks the qualifying group).
+        """
+        if op_id not in self.bit:
+            smaller = E - {op_id}
+            return not (smaller and self.success(smaller))
+        blocked = (self.zeros & self.bit[op_id]) != 0
+        rows = self.consistent & blocked & self._allowed(E | {op_id})
+        return bool(self.n[rows].sum() > 0)
 
-
-def _side_effect_bounds(stats: pd.DataFrame, tr: Traced, E: frozenset[int]):
-    """Loose UB on added/removed top-level rows (paper §5.4, loose bounds)."""
-    changed = [tr.flags[o] for o in E if o in tr.flags]
-    if not changed:
-        return 0, 0
-    rows = _allowed(stats, tr, E)
-    newly = rows[(rows[changed] == 0).any(axis=1)]
-    orig = stats
-    for col in tr.flags.values():
-        orig = orig[orig[col] == 1]
-    return int(newly["_n"].sum()), int(orig["_n"].sum())
+    def bounds(self, E: frozenset[int]) -> tuple[int, int]:
+        """Loose UB on added/removed top-level rows (paper §5.4, loose bounds)."""
+        changed = self._bits(E)
+        if not changed:
+            return 0, 0
+        newly = self._allowed(E) & ((self.zeros & changed) != 0)
+        return int(self.n[newly].sum()), self.orig_n
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +375,7 @@ def approximate_msrs(
 
     for sa in sas:
         tr = trace(sa, db, orig_bt)
-        stats = collect_stats(tr)
+        ev = CandidateEval(collect_stats(tr), tr)
         relaxable = sorted(tr.flags) + [
             op_id for layer in tr.layers for op_id, _ in layer.post_filters
         ]
@@ -335,11 +386,11 @@ def approximate_msrs(
                 E = frozenset(combo) | sa.changed_ops
                 if not E:
                     continue
-                if not _success(stats, tr, E):
+                if not ev.success(E):
                     continue
-                if not all(_blocks_consistent(stats, tr, E, o) for o in combo):
+                if not all(ev.necessary(E, o) for o in combo):
                     continue
-                ubp, ubm = _side_effect_bounds(stats, tr, E)
+                ubp, ubm = ev.bounds(E)
                 exp = Explanation(
                     ops=E,
                     labels=tuple(sorted(labels[o] for o in E)),

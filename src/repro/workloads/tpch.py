@@ -148,8 +148,11 @@ def db_flat(spark: SparkSession, sf: float = 0.01) -> dict:
 
     li = _cover_orders(li, orders.filter(F.col("o_custkey") != Q13_CUST))
 
-    nation = spark.createDataFrame(
-        [(i, f"NATION_{i}") for i in range(25)], "n_nationkey int, n_name string"
+    # built on the JVM: a table from a Python list starts Python workers on
+    # its first read
+    nation = spark.range(25).select(
+        F.col("id").cast("int").alias("n_nationkey"),
+        F.concat(F.lit("NATION_"), F.col("id")).alias("n_name"),
     )
     return {"lineitem": li, "orders": orders, "customer": cust, "nation": nation}
 

@@ -1,4 +1,5 @@
 """Aggregate feasibility intervals and side-effect machinery (§5.4)."""
+import numpy as np
 import pandas as pd
 import pytest
 
@@ -6,8 +7,10 @@ from repro.core import nip as N
 from repro.core.exprs import cmp
 from repro.core.msr import (
     _agg_interval,
+    _columns,
     _nip_interval_feasible,
     _pred_interval_feasible,
+    _reduce,
 )
 
 
@@ -15,62 +18,69 @@ def rows(**cols):
     return pd.DataFrame(cols)
 
 
+def interval(fn, g, out, subset_ok):
+    """``_agg_interval`` over all rows of ``g`` as one group; None if empty."""
+    totals = _reduce(_columns(g), np.zeros(len(g), np.intp), 1)
+    lo, hi = _agg_interval(fn, totals, out, subset_ok)
+    return (None, None) if np.isnan(lo[0]) else (lo[0], hi[0])
+
+
 class TestAggIntervals:
     def test_count_exact(self):
         g = rows(_n=[3], _cnt_c=[2])
-        assert _agg_interval("count", g, "c", subset_ok=False) == (2, 2)
+        assert interval("count", g, "c", subset_ok=False) == (2, 2)
 
     def test_count_subset_with_null_rows_reaches_zero(self):
         g = rows(_n=[3], _cnt_c=[2])  # one row has a null attr
-        assert _agg_interval("count", g, "c", subset_ok=True) == (0, 2)
+        assert interval("count", g, "c", subset_ok=True) == (0, 2)
 
     def test_count_subset_all_nonnull_min_one(self):
         g = rows(_n=[2], _cnt_c=[2])
-        assert _agg_interval("count", g, "c", subset_ok=True) == (1, 2)
+        assert interval("count", g, "c", subset_ok=True) == (1, 2)
 
     def test_count_star(self):
         g = rows(_n=[4])
-        assert _agg_interval("count", g, "c", subset_ok=False) == (4, 4)
-        assert _agg_interval("count", g, "c", subset_ok=True) == (1, 4)
+        assert interval("count", g, "c", subset_ok=False) == (4, 4)
+        assert interval("count", g, "c", subset_ok=True) == (1, 4)
 
     def test_empty_group_unachievable(self):
         g = rows(_n=[], _cnt_c=[])
-        assert _agg_interval("count", g, "c", subset_ok=True) == (None, None)
+        assert interval("count", g, "c", subset_ok=True) == (None, None)
 
     def test_sum_exact(self):
         g = rows(_n=[2], _cnt_s=[2], _sum_s=[10.0], _pos_s=[10.0], _neg_s=[0.0],
                  _min_s=[4.0], _max_s=[6.0])
-        assert _agg_interval("sum", g, "s", subset_ok=False) == (10.0, 10.0)
+        assert interval("sum", g, "s", subset_ok=False) == (10.0, 10.0)
 
     def test_sum_subset_positive_values(self):
         g = rows(_n=[2], _cnt_s=[2], _sum_s=[10.0], _pos_s=[10.0], _neg_s=[0.0],
                  _min_s=[4.0], _max_s=[6.0])
-        lo, hi = _agg_interval("sum", g, "s", subset_ok=True)
+        lo, hi = interval("sum", g, "s", subset_ok=True)
         assert lo == 4.0 and hi == 10.0
 
     def test_sum_subset_mixed_signs(self):
         g = rows(_n=[3], _cnt_s=[3], _sum_s=[5.0], _pos_s=[8.0], _neg_s=[-3.0],
                  _min_s=[-3.0], _max_s=[6.0])
-        lo, hi = _agg_interval("sum", g, "s", subset_ok=True)
+        lo, hi = interval("sum", g, "s", subset_ok=True)
         assert lo == -3.0 and hi == 8.0
 
     def test_sum_all_null_contributions(self):
         """A group fed only by padded rows (Q10's ⋈³⁸): sum unachievable."""
         g = rows(_n=[2], _cnt_s=[0], _sum_s=[None], _pos_s=[None], _neg_s=[None],
                  _min_s=[None], _max_s=[None])
-        assert _agg_interval("sum", g, "s", subset_ok=True) == (None, None)
+        assert interval("sum", g, "s", subset_ok=True) == (None, None)
 
     def test_avg_subset_range(self):
         g = rows(_n=[2], _cnt_s=[2], _sum_s=[10.0], _pos_s=[10.0], _neg_s=[0.0],
                  _min_s=[4.0], _max_s=[6.0])
-        assert _agg_interval("avg", g, "s", subset_ok=True) == (4.0, 6.0)
-        assert _agg_interval("avg", g, "s", subset_ok=False) == (5.0, 5.0)
+        assert interval("avg", g, "s", subset_ok=True) == (4.0, 6.0)
+        assert interval("avg", g, "s", subset_ok=False) == (5.0, 5.0)
 
     def test_min_max(self):
         g = rows(_n=[2], _cnt_s=[2], _sum_s=[10.0], _pos_s=[10.0], _neg_s=[0.0],
                  _min_s=[4.0], _max_s=[6.0])
-        assert _agg_interval("min", g, "s", subset_ok=False) == (4.0, 4.0)
-        assert _agg_interval("max", g, "s", subset_ok=False) == (6.0, 6.0)
+        assert interval("min", g, "s", subset_ok=False) == (4.0, 4.0)
+        assert interval("max", g, "s", subset_ok=False) == (6.0, 6.0)
 
 
 class TestPredFeasibility:

@@ -83,6 +83,12 @@ class TestTpchDb:
     def test_nation_covers_custkeys(self, flat):
         assert flat["nation"].count() == 25
 
+    def test_nation_types_and_values(self, flat):
+        nation = flat["nation"]
+        assert nation.dtypes == [("n_nationkey", "int"), ("n_name", "string")]
+        rows = sorted(tuple(r) for r in nation.collect())
+        assert rows == [(i, f"NATION_{i}") for i in range(25)]
+
 
 class TestDblpDb:
     @pytest.fixture(scope="class")
