@@ -13,7 +13,7 @@ from ..core.alternatives import SchemaAlternative
 from ..core.backtrace import backtrace
 from ..core.msr import CandidateEval, collect_stats
 from ..core.tracing import trace
-from .wnpp import _maybe_blame_join_partner, _path_steps, _successors
+from .wnpp import _frontier, _maybe_blame_join_partner
 
 
 def conseil(query: A.Op, db, whynot) -> list[frozenset[int]]:
@@ -29,37 +29,17 @@ def conseil(query: A.Op, db, whynot) -> list[frozenset[int]]:
     stats = collect_stats(traced, extra_cols=tuple(traced.compat_tables.values()))
     ev = CandidateEval(stats, traced)
 
-    flagged = set(traced.flags)
-    if traced.compat_tables:
-        sources = [(t, traced.compat_tables[t]) for t in traced.compat_tables]
-    else:
-        sources = [(t, None) for t in traced.table_order]
-
-    relaxed: set[int] = set()
-    for _ in range(len(flagged) + 1):
-        if relaxed and ev.success(frozenset(relaxed)):
-            return [frozenset(relaxed)]
-        # find the next frontier picky operator under the current relaxation
+    tables = list(traced.compat_tables) or list(traced.table_order)
+    relaxed: frozenset[int] = frozenset()
+    # each round adds a new flagged operator, so this ends within |flags| rounds
+    while not (relaxed and ev.success(relaxed)):
         frontier = None
-        for table, compat_col in sources:
-            prev = _successors(stats, traced, compat_col, [])
-            if prev == 0:
-                continue
-            for op_id, subtree in _path_steps(query, table, flagged):
-                if op_id in relaxed:
-                    continue
-                cur = _successors(
-                    stats, traced, compat_col, [o for o in subtree if o not in relaxed]
-                )
-                if cur == 0 and prev > 0:
-                    frontier = _maybe_blame_join_partner(
-                        query, op_id, table, stats, traced
-                    )
-                    break
-                prev = cur
+        for table in tables:
+            frontier, _ = _frontier(ev, query, table, relaxed)
             if frontier is not None:
+                frontier = _maybe_blame_join_partner(query, frontier, table, ev)
                 break
         if frontier is None or frontier in relaxed:
-            return [frozenset(relaxed)] if relaxed else []
-        relaxed.add(frontier)
-    return [frozenset(relaxed)] if relaxed else []
+            break
+        relaxed |= {frontier}
+    return [relaxed] if relaxed else []

@@ -24,13 +24,11 @@ constrained, every input tuple is compatible (the paper's Q1/Q6 behaviour:
 """
 from __future__ import annotations
 
-import pandas as pd
-
 from ..core import algebra as A
 from ..core.alternatives import SchemaAlternative
 from ..core.backtrace import backtrace
-from ..core.msr import collect_stats
-from ..core.tracing import Traced, trace
+from ..core.msr import CandidateEval, collect_stats
+from ..core.tracing import trace
 
 
 def _tables_under(op: A.Op) -> set[str]:
@@ -52,13 +50,30 @@ def _path_steps(query: A.Op, table: str, flagged: set[int]) -> list[tuple[int, l
     return sorted(out)
 
 
-def _successors(stats: pd.DataFrame, tr: Traced, compat_col: str | None, flag_ids) -> int:
-    rows = stats
-    if compat_col is not None:
-        rows = rows[rows[compat_col] == 1]
-    for op_id in flag_ids:
-        rows = rows[rows[tr.flags[op_id]] == 1]
-    return int(rows["_n"].sum()) if len(rows) else 0
+def _frontier(ev: CandidateEval, query: A.Op, table: str, relaxed=frozenset()):
+    """Walk ``table``'s path to the root with the operators in ``relaxed``
+    lifted, counting the successors of its compatibles (of every tuple if no
+    table is constrained) at each step.
+
+    Returns ``(frontier, last_decreasing)``: the first operator that removes
+    every remaining successor, and the last operator before it that removed
+    any (each ``None`` if there is none).
+    """
+    compat = table if ev.tr.compat_tables else None
+    prev = ev.survivors((), compat)
+    if prev == 0:
+        return None, None  # no compatibles from this table at all
+    last_decreasing = None
+    for op_id, subtree in _path_steps(query, table, set(ev.tr.flags)):
+        if op_id in relaxed:
+            continue
+        cur = ev.survivors(set(subtree) - relaxed, compat)
+        if cur == 0:
+            return op_id, last_decreasing
+        if cur < prev:
+            last_decreasing = op_id
+        prev = cur
+    return None, last_decreasing
 
 
 def wnpp(query: A.Op, db, whynot) -> list[frozenset[int]]:
@@ -66,40 +81,22 @@ def wnpp(query: A.Op, db, whynot) -> list[frozenset[int]]:
     bt = backtrace(query, whynot, A.SchemaCache(db))
     traced = trace(SchemaAlternative(1, query, frozenset(), bt, "original"), db, bt)
     stats = collect_stats(traced, extra_cols=tuple(traced.compat_tables.values()))
-
-    flagged = set(traced.flags)
-    if traced.compat_tables:
-        sources = [(t, traced.compat_tables[t]) for t in traced.compat_tables]
-    else:  # no constrained table: every tuple of every table is compatible
-        sources = [(t, None) for t in traced.table_order]
+    ev = CandidateEval(stats, traced)
 
     explanations: list[frozenset[int]] = []
-    seen = set()
-    for table, compat_col in sources:
-        steps = _path_steps(query, table, flagged)
-        prev = _successors(stats, traced, compat_col, [])
-        if prev == 0:
-            continue  # no compatibles from this table at all
-        frontier = None
-        last_decreasing = None
-        for op_id, subtree in steps:
-            cur = _successors(stats, traced, compat_col, subtree)
-            if cur == 0 and prev > 0:
-                frontier = op_id
-                break
-            if cur < prev:
-                last_decreasing = op_id
-            prev = cur
+    # no constrained table: every tuple of every table is compatible
+    for table in list(traced.compat_tables) or list(traced.table_order):
+        frontier, last_decreasing = _frontier(ev, query, table)
         picked = frontier if frontier is not None else last_decreasing
-        if picked is not None:
-            picked = _maybe_blame_join_partner(query, picked, table, stats, traced)
-        if picked is not None and picked not in seen:
-            seen.add(picked)
-            explanations.append(frozenset({picked}))
+        if picked is None:
+            continue
+        exp = frozenset({_maybe_blame_join_partner(query, picked, table, ev)})
+        if exp not in explanations:
+            explanations.append(exp)
     return explanations
 
 
-def _maybe_blame_join_partner(query, picked, table, stats, traced):
+def _maybe_blame_join_partner(query, picked, table, ev: CandidateEval):
     """Why-Not's partner analysis: when the frontier is a join, check whether
     an operator on the *other* side emptied the potential join partners
     entirely (e.g. C2's σ⁴ removing every witness); blame that operator
@@ -109,13 +106,9 @@ def _maybe_blame_join_partner(query, picked, table, stats, traced):
     if not isinstance(node, A.Join):
         return picked
     other = node.right if table in _tables_under(node.left) else node.left
-    other_flags = sorted(o for o in traced.flags if any(
-        n.op_id == o for n in A.walk(other)
-    ))
-    prev = _successors(stats, traced, None, [])
+    other_flags = sorted(n.op_id for n in A.walk(other) if n.op_id in ev.tr.flags)
+    # the walk that picked the join saw successors, so some row survives ()
     for i, op_id in enumerate(other_flags):
-        cur = _successors(stats, traced, None, other_flags[: i + 1])
-        if cur == 0 and prev > 0:
+        if ev.survivors(other_flags[: i + 1]) == 0:
             return op_id
-        prev = cur
     return picked

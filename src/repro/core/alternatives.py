@@ -21,6 +21,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+from pyspark.errors import AnalysisException
+from pyspark.sql import types as T
+
 from . import algebra as A
 from .backtrace import Backtrace, backtrace, resolve_source
 from .nip import Tup
@@ -33,10 +36,6 @@ class SchemaAlternative:
     changed_ops: frozenset[int]
     bt: Backtrace
     desc: str
-
-    @property
-    def is_original(self) -> bool:
-        return not self.changed_ops
 
 
 def _derive_op_level_name(q: str, src: str, alt: str) -> str:
@@ -58,12 +57,15 @@ def _schema_sig(schema) -> list[tuple[str, str]]:
     return [(f.name, f.dataType.simpleString()) for f in schema.fields]
 
 
-def _has_path(schema, path: str) -> bool:
-    try:
-        A.struct_type_at(schema, path)
-        return True
-    except KeyError:
-        return False
+def _type_at(schema, path: str):
+    """The type of the dotted attribute ``path`` in ``schema`` (each step
+    into a struct), or ``None`` if there is no such attribute."""
+    cur = schema
+    for part in path.split("."):
+        if not isinstance(cur, T.StructType) or part not in cur.fieldNames():
+            return None
+        cur = cur[part].dataType
+    return cur
 
 
 def _refs_valid(query: A.Op, schemas: A.SchemaCache) -> bool:
@@ -71,24 +73,30 @@ def _refs_valid(query: A.Op, schemas: A.SchemaCache) -> bool:
     operator's input schema. Catalyst's ``ResolveMissingReferences`` would
     otherwise silently resolve a filter on a projected-away column, letting
     invalid SAs (Figure 3's dashed subtrees) slip through schema validation.
+    A tuple flatten needs a struct and a relation flatten an array of
+    structs; operators are checked bottom-up, so an operator's input schema
+    is derived only once everything below it has passed.
     """
     for op in A.walk(query):
         children = op.children()
         if not children:
             continue
-        try:
-            if isinstance(op, A.Join):
-                l, r = (schemas.schema(c) for c in children)
-                for lc, rc in op.cond:
-                    if not _has_path(l, lc) or not _has_path(r, rc):
-                        return False
-                continue
-            child_schema = schemas.schema(children[0])
-            for p in op.param_attrs():
-                if p != "*" and not _has_path(child_schema, p):
-                    return False
-        except Exception:
-            return False
+        if isinstance(op, A.Join):
+            l, r = (schemas.schema(c) for c in children)
+            if any(_type_at(l, lc) is None or _type_at(r, rc) is None for lc, rc in op.cond):
+                return False
+            continue
+        child_schema = schemas.schema(children[0])
+        for p in op.param_attrs():
+            if p != "*" and _type_at(child_schema, p) is None:
+                return False
+        if isinstance(op, A.FlattenTup):
+            if not isinstance(_type_at(child_schema, op.attr), T.StructType):
+                return False
+        elif isinstance(op, A.FlattenRel):
+            t = _type_at(child_schema, op.attr)
+            if not (isinstance(t, T.ArrayType) and isinstance(t.elementType, T.StructType)):
+                return False
     return True
 
 
@@ -111,10 +119,7 @@ def enumerate_sas(
             # resolve from the children, not from the operator's own output
             resolved = None
             for child in op.children():
-                try:
-                    resolved = resolve_source(child, q, schemas)
-                except Exception:
-                    resolved = None
+                resolved = resolve_source(child, q, schemas)
                 if resolved is not None:
                     break
             src = resolved[1] if resolved else q
@@ -149,14 +154,11 @@ def enumerate_sas(
             if not _refs_valid(q2, schemas):
                 continue
             sig = _schema_sig(schemas.schema(q2))
-        except Exception:
+        except AnalysisException:
             continue  # invalid query under this substitution — pruned
         if sig != orig_schema:
             continue  # output schema is fixed by definition — pruned
-        try:
-            bt2 = backtrace(q2, whynot, schemas)
-        except Exception:
-            continue
+        bt2 = backtrace(q2, whynot, schemas)
         sas.append(
             SchemaAlternative(sa_id, q2, frozenset(subst), bt2, ", ".join(parts))
         )

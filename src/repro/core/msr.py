@@ -228,7 +228,9 @@ class CandidateEval:
     counts and aggregate inputs become float arrays, and the group codes,
     key-constraint matches and key post-filter results are computed once per
     group. A candidate ``E`` then costs a few whole-table array reductions:
-    its allowed rows are those whose flags outside ``E`` are all 1.
+    its allowed rows are those whose flags outside ``E`` are all 1. The
+    lineage baselines read their successor counts from it too
+    (:meth:`survivors`).
     """
 
     def __init__(self, stats: pd.DataFrame, tr: Traced):
@@ -247,6 +249,11 @@ class CandidateEval:
         self.n = self.cols["_n"]
         self.consistent = stats["_c"].to_numpy() == 1
         self.orig_n = int(self.n[self.ones == self.full].sum())
+        # the baselines' source-compatibility flags (a null flag is not 1)
+        self.compat = {
+            table: stats[col].to_numpy(dtype=float, na_value=np.nan) == 1
+            for table, col in tr.compat_tables.items() if col in stats
+        }
         if tr.layers:
             self._init_groups(stats, tr.layers[0])
 
@@ -286,6 +293,16 @@ class CandidateEval:
 
     def _allowed(self, E: frozenset[int]) -> np.ndarray:
         return (self.ones | self._bits(E)) == self.full
+
+    def survivors(self, ops, table: str | None = None) -> int:
+        """Rows (by ``_n``) whose flag is 1 for every operator in ``ops``;
+        with ``table``, only successors of ``table``'s compatibles
+        (``_k_<table>`` = 1). These are the baselines' successor counts."""
+        bits = self._bits(ops)
+        rows = (self.ones & bits) == bits
+        if table is not None:
+            rows &= self.compat[table]
+        return int(self.n[rows].sum())
 
     def success(self, E: frozenset[int]) -> bool:
         """Is a tuple matching the why-not NIP producible once ``E`` is

@@ -2,6 +2,7 @@
 import pytest
 
 from repro.core import algebra as A
+from repro.core import alternatives
 from repro.core import nip as N
 from repro.core.alternatives import _derive_op_level_name, enumerate_sas
 from repro.core.exprs import cmp
@@ -19,8 +20,8 @@ class TestRunningExample:
         q = RE.query()
         sas = enumerate_sas(q, RE.whynot_nip(), A.SchemaCache(db), RE.alternatives())
         assert len(sas) == 2
-        assert sas[0].is_original
-        assert not sas[1].is_original
+        assert not sas[0].changed_ops
+        assert sas[1].changed_ops
 
     def test_sa2_changes_only_flatten(self, db):
         q = RE.query()
@@ -56,7 +57,7 @@ class TestRunningExample:
     def test_no_alternatives_yields_only_original(self, db):
         q = RE.query()
         sas = enumerate_sas(q, RE.whynot_nip(), A.SchemaCache(db), {})
-        assert len(sas) == 1 and sas[0].is_original
+        assert len(sas) == 1 and not sas[0].changed_ops
 
 
 class TestPruning:
@@ -123,6 +124,51 @@ class TestPruning:
             max_sas=3,
         )
         assert len(sas) <= 3
+
+
+    @pytest.fixture(scope="class")
+    def nested(self, spark):
+        from pyspark.sql import types as T
+
+        city = T.StructType([T.StructField("city", T.StringType())])
+        schema = T.StructType([
+            T.StructField("name", T.StringType()),
+            T.StructField("addrs", T.ArrayType(city)),
+            T.StructField("home", city),
+        ])
+        df = spark.createDataFrame([("x", [("NY",)], ("LA",))], schema)
+        return A.SchemaCache({"t": df})
+
+    def test_relation_flatten_of_a_struct_pruned(self, nested):
+        """Exploding a struct is invalid: the SA is pruned, not analyzed."""
+        q = A.Project(
+            A.FlattenRel(A.TableAccess("t"), "addrs"), [("name", "name"), ("city", "city")]
+        )
+        sas = enumerate_sas(q, N.tup(city="NY"), nested, {"addrs": ["home"]})
+        assert len(sas) == 1
+
+    def test_tuple_flatten_of_an_array_pruned(self, nested):
+        """Promoting the fields of an array is invalid: the SA is pruned."""
+        q = A.Project(
+            A.FlattenTup(A.TableAccess("t"), "home"), [("name", "name"), ("city", "city")]
+        )
+        sas = enumerate_sas(q, N.tup(city="LA"), nested, {"home": ["addrs"]})
+        assert len(sas) == 1
+
+    def test_error_in_a_valid_sa_is_raised(self, spark, monkeypatch):
+        """A failure past validation is a bug, not a pruned SA."""
+        df = spark.createDataFrame([(1, 2)], "x int, y int")
+        q = A.Project(A.TableAccess("t"), [("out", "x")])
+        real = alternatives.backtrace
+
+        def backtrace(query, whynot, schemas):
+            if query is not q:
+                raise RuntimeError("backtrace failed")
+            return real(query, whynot, schemas)
+
+        monkeypatch.setattr(alternatives, "backtrace", backtrace)
+        with pytest.raises(RuntimeError, match="backtrace failed"):
+            enumerate_sas(q, N.tup(out=2), A.SchemaCache({"t": df}), {"x": ["y"]})
 
 
 class TestDeriveName:

@@ -3,8 +3,8 @@
 Every random stats table is evaluated twice for every candidate: once by
 ``CandidateEval`` (bitmasks and per-group array reductions) and once by the
 plain-Python oracle below, which walks the rows and groups one at a time.
-Success, Algorithm-4 necessity of each operator and the side-effect bounds
-must agree.
+Success, Algorithm-4 necessity of each operator, the side-effect bounds and
+the baselines' successor counts must agree.
 """
 import itertools
 import math
@@ -22,6 +22,7 @@ from repro.core.tracing import Layer, Traced
 FLAG_OPS = (3, 5, 8, 11)
 POST_OPS = (20, 21)
 STACK_POST_OP = 30
+TABLES = ("r", "s", "u")
 OPS = ("=", "!=", "<", "<=", ">", ">=")
 # (fn, out, attr kind): count(*), count of a non-numeric attribute, numeric aggs
 AGGS = (
@@ -160,6 +161,12 @@ def o_bounds(rows, tr, E):
     return plus, minus
 
 
+def o_survivors(rows, tr, ops, table):
+    return sum(r["_n"] for r in rows
+               if all(_is(r[tr.flags[op]], 1) for op in ops)
+               and (table is None or _is(r[tr.compat_tables[table]], 1)))
+
+
 # ---------------------------------------------------------------------------
 # random stats tables
 # ---------------------------------------------------------------------------
@@ -209,7 +216,6 @@ def random_case(seed):
         cols += ["_nc"] + sorted({c for r in rows for c in r if c.startswith("_") and c[1:4]
                                   in ("cnt", "sum", "pos", "neg", "min", "max")})
     rows = [{c: r.get(c) for c in cols} for r in rows]
-    stats = pd.DataFrame(rows, columns=cols)
 
     layers = []
     if shape != "none":
@@ -236,8 +242,13 @@ def random_case(seed):
                 {"custdist": [N.ValPred(_pred_on(rng, "custdist"))]},
                 [(STACK_POST_OP, cmp("custdist", rng.choice(OPS), rng.randint(0, 4)))]))
     sel_ops = frozenset(o for o in flags if rng.random() < 0.5)
+    # source-compatibility flags the baselines group by; null is outer-join padding
+    compat_tables = {t: f"_k_{t}" for t in rng.sample(TABLES, rng.randint(0, len(TABLES)))}
+    for r in rows:
+        r.update({col: rng.choice([1, 1, 0, None]) for col in compat_tables.values()})
+    stats = pd.DataFrame(rows, columns=[*cols, *compat_tables.values()])
     tr = Traced(df=None, flags=flags, sel_ops=sel_ops, layers=layers,
-                compat_tables={}, table_order={})
+                compat_tables=compat_tables, table_order={})
     return stats, rows, tr
 
 
@@ -253,6 +264,11 @@ def test_evaluator_matches_oracle(seed):
             for op in combo:
                 assert ev.necessary(E, op) == o_necessary(rows, tr, E, op), (E, op)
             assert ev.bounds(E) == o_bounds(rows, tr, E), E
+    for k in range(len(tr.flags) + 1):
+        for ops in itertools.combinations(sorted(tr.flags), k):
+            for table in [*tr.compat_tables, None]:
+                assert ev.survivors(ops, table) == o_survivors(rows, tr, ops, table), (
+                    ops, table)
 
 
 def test_cases_cover_the_edge_cases():
@@ -266,6 +282,8 @@ def test_cases_cover_the_edge_cases():
             seen.add("stacked")
         if stats[flags].isna().any().any():
             seen.add("null flag")
+        if stats[list(tr.compat_tables.values())].isna().any().any():
+            seen.add("null compat flag")
         if tr.layers:
             layer0 = tr.layers[0]
             if any(stats[k].isna().any() for k in layer0.keys):
@@ -286,7 +304,8 @@ def test_cases_cover_the_edge_cases():
             if refs & {out for _, _, out in layer0.aggs}:
                 seen.add("aggregate post-filter")
     assert seen == {
-        "layer", "no layer", "stacked", "null flag", "missing key", "count(*)",
+        "layer", "no layer", "stacked", "null flag", "null compat flag", "missing key",
+        "count(*)",
         "non-numeric count", "all-null sum", "mixed signs", "key post-filter",
         "aggregate post-filter",
     }
