@@ -24,8 +24,9 @@ def conseil(query: A.Op, db, whynot) -> list[frozenset[int]]:
     picky operators it found (its behaviour in C3, where the join cannot be
     meaningfully fixed).
     """
-    bt = backtrace(query, whynot, A.SchemaCache(db))
-    traced = trace(SchemaAlternative(1, query, frozenset(), bt, "original"), db, bt)
+    schemas = A.SchemaCache(db)
+    bt = backtrace(query, whynot, schemas)
+    traced = trace(SchemaAlternative(1, query, frozenset(), bt, "original"), schemas, bt)
     stats = collect_stats(traced, extra_cols=tuple(traced.compat_tables.values()))
     ev = CandidateEval(stats, traced)
 

@@ -78,8 +78,9 @@ def _frontier(ev: CandidateEval, query: A.Op, table: str, relaxed=frozenset()):
 
 def wnpp(query: A.Op, db, whynot) -> list[frozenset[int]]:
     """Return WN++'s explanations (each a singleton operator set)."""
-    bt = backtrace(query, whynot, A.SchemaCache(db))
-    traced = trace(SchemaAlternative(1, query, frozenset(), bt, "original"), db, bt)
+    schemas = A.SchemaCache(db)
+    bt = backtrace(query, whynot, schemas)
+    traced = trace(SchemaAlternative(1, query, frozenset(), bt, "original"), schemas, bt)
     stats = collect_stats(traced, extra_cols=tuple(traced.compat_tables.values()))
     ev = CandidateEval(stats, traced)
 

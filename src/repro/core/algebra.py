@@ -1,8 +1,10 @@
 """NRAB — the paper's nested relational algebra for bags, on Spark DataFrames.
 
 Each operator is an AST node with a unique ``op_id`` and a printable label
-(``σ³``, ``F^I⁵``, …). ``run(op, db)`` executes the *original* semantics of
-Table 1 with the DataFrame API (Catalyst plans, no RDDs). The tracing module
+(``σ³``, ``F^I⁵``, …). ``build(op, inputs, db)`` applies one operator's
+*original* semantics of Table 1 to its children's frames with the DataFrame
+API (Catalyst plans, no RDDs); ``run(op, db)`` is the recursion over it and
+``SchemaCache`` its memo per question. The tracing module
 re-interprets the same AST with instrumented semantics.
 
 Representation choices (documented in DESIGN.md):
@@ -501,70 +503,89 @@ def agg_inputs(df: DataFrame, aggs):
     return df, tuple(norm)
 
 
-def run(op: Op, db: dict[str, DataFrame]) -> DataFrame:
-    """Execute ``op`` with the original NRAB semantics of Table 1."""
+def build(op: Op, inputs: tuple[DataFrame, ...], db: dict[str, DataFrame]) -> DataFrame:
+    """One level of the original NRAB semantics of Table 1: ``op`` applied to
+    its children's frames ``inputs`` (in ``op.children()`` order)."""
     if isinstance(op, TableAccess):
         return db[op.table]
-    if isinstance(op, Select):
-        return run(op.child, db).filter(op.theta.to_col())
-    if isinstance(op, Project):
-        df = run(op.child, db)
-        return df.select(*[e.to_col().alias(o) for o, e in op.items])
-    if isinstance(op, Rename):
-        return rename_cols(run(op.child, db), op.mapping)
+    if isinstance(op, Union):
+        l, r = inputs
+        return l.unionByName(r)
     if isinstance(op, Join):
-        l, r = run(op.left, db), run(op.right, db)
+        l, r = inputs
         how = {"inner": "inner", "left": "left_outer", "right": "right_outer", "full": "full_outer"}[
             op.kind
         ]
         return l.join(r, on=equi_on(l, r, op.cond), how=how)
+    (df,) = inputs
+    if isinstance(op, Select):
+        return df.filter(op.theta.to_col())
+    if isinstance(op, Project):
+        return df.select(*[e.to_col().alias(o) for o, e in op.items])
+    if isinstance(op, Rename):
+        return rename_cols(df, op.mapping)
     if isinstance(op, FlattenRel):
-        return explode_promote(run(op.child, db), op.attr, op.outer)
+        return explode_promote(df, op.attr, op.outer)
     if isinstance(op, FlattenTup):
-        return flatten_tuple(run(op.child, db), op.attr)
+        return flatten_tuple(df, op.attr)
     if isinstance(op, NestTup):
-        return nest_tuple(run(op.child, db), op.attrs_in, op.out)
+        return nest_tuple(df, op.attrs_in, op.out)
     if isinstance(op, NestRel):
-        df = run(op.child, db)
         rest = [c for c in df.columns if c not in op.attrs_in]
         return df.groupBy(*rest).agg(
             F.collect_list(F.struct(*op.attrs_in)).alias(op.out)
         )
     if isinstance(op, GroupAgg):
-        df, norm = agg_inputs(run(op.child, db), op.aggs)
+        df, norm = agg_inputs(df, op.aggs)
         aggs = [_agg_col(f, a).alias(o) for f, a, o in norm]
         if op.keys:
             keyed = df.groupBy(*[F.col(k).alias(o) for k, o in zip(op.keys, op.key_out)])
             return keyed.agg(*aggs)
         return df.agg(*aggs)
     if isinstance(op, AggPerTuple):
-        df = run(op.child, db)
         return df.withColumn(op.out, _per_tuple_agg_col(op))
-    if isinstance(op, Union):
-        return run(op.left, db).unionByName(run(op.right, db))
     if isinstance(op, Dedup):
-        return run(op.child, db).distinct()
+        return df.distinct()
     raise TypeError(f"unknown operator {op!r}")
 
 
+def run(op: Op, db: dict[str, DataFrame]) -> DataFrame:
+    """Execute ``op`` with the original NRAB semantics of Table 1."""
+    return build(op, tuple(run(c, db) for c in op.children()), db)
+
+
 class SchemaCache:
-    """Operator output schemas over one database ``db``, each derived once
-    by lazy analysis (no job is launched).
+    """The per-question cache over one database ``db``: one DataFrame per
+    operator value, built once from its children's cached frames, and the
+    schema each frame's lazy analysis gives (no job is launched).
 
     Keyed by operator value: operators are frozen dataclasses whose equality
     covers op id, parameters and the whole subtree, so a reparameterized
     operator gets its own entry while every unchanged subtree is shared. One
-    cache thus serves a query and all its schema alternatives over ``db``.
+    cache thus serves a query and all its schema alternatives over ``db``,
+    and a rewritten operator costs one new ``build`` on top of cached frames.
+    A derivation that Spark's analysis rejects raises and stores nothing.
+
+    ``instrumented`` is the tracing step's memo of instrumented subtrees below
+    the tracing cut. Besides the operator value and ``db`` they depend only on
+    the S₁ backtrace, which ``tracing.trace`` pins in ``instrumented_bt``.
     """
 
     def __init__(self, db: dict[str, DataFrame]):
         self.db = db
-        self._schemas: dict[Op, StructType] = {}
+        self._frames: dict[Op, DataFrame] = {}
+        self.instrumented: dict[Op, object] = {}
+        self.instrumented_bt = None
+
+    def frame(self, op: Op) -> DataFrame:
+        df = self._frames.get(op)
+        if df is None:
+            df = build(op, tuple(self.frame(c) for c in op.children()), self.db)
+            self._frames[op] = df
+        return df
 
     def schema(self, op: Op) -> StructType:
-        if op not in self._schemas:
-            self._schemas[op] = run(op, self.db).schema
-        return self._schemas[op]
+        return self.frame(op).schema  # a cached property of the frame
 
     def columns(self, op: Op) -> list[str]:
         return [f.name for f in self.schema(op).fields]

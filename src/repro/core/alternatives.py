@@ -7,7 +7,8 @@ assumes these are supplied, e.g. by schema matching). SA enumeration:
 1. For every operator parameter attribute, resolve its source attribute
    (``M_sbt``) and look it up in the alternatives map (keyed by source path,
    e.g. ``"address2"`` or ``"o_lineitems.l_tax"``).
-2. Enumerate the cross product of per-reference choices (capped).
+2. Enumerate the cross product of per-reference choices, up to ``max_sas``
+   SAs; a ``UserWarning`` reports the combinations the cap left unexamined.
 3. Prune alternatives that make the query invalid (Spark analysis fails) or
    change the final output schema (fixed by definition — Figure 3's dashed
    subtrees).
@@ -19,6 +20,8 @@ Algorithm 4) and a re-run of schema backtracing under the substitution.
 from __future__ import annotations
 
 import itertools
+import math
+import warnings
 from dataclasses import dataclass
 
 from pyspark.errors import AnalysisException
@@ -136,9 +139,17 @@ def enumerate_sas(
 
     combos = itertools.product(*(range(len(opts)) for _, _, _, opts in choices))
     next(combos)  # skip the all-original combo (already added)
+    n_combos = math.prod(len(opts) for _, _, _, opts in choices) - 1
     sa_id = 2
-    for combo in combos:
+    for examined, combo in enumerate(combos):
         if sa_id > max_sas:
+            warnings.warn(
+                f"enumerate_sas: stopped at max_sas={max_sas} SAs; "
+                f"{n_combos - examined} of {n_combos} attribute-alternative "
+                "combinations were not examined",
+                UserWarning,
+                stacklevel=2,
+            )
             break
         subst: dict[int, dict[str, str]] = {}
         parts = []

@@ -391,7 +391,7 @@ def approximate_msrs(
     found: dict[frozenset[int], Explanation] = {}
 
     for sa in sas:
-        tr = trace(sa, db, orig_bt)
+        tr = trace(sa, schemas, orig_bt)
         ev = CandidateEval(collect_stats(tr), tr)
         relaxable = sorted(tr.flags) + [
             op_id for layer in tr.layers for op_id, _ in layer.post_filters

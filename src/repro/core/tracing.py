@@ -26,7 +26,7 @@ selections) for the feasibility analysis of §5.4.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
@@ -62,18 +62,49 @@ class Traced:
     table_order: dict[str, int]  # table → position (for WN++ path analysis)
 
 
+@dataclass(frozen=True)
+class _Sub:
+    """An instrumented subtree: its frame and the annotations the subtree
+    adds, each in build order."""
+
+    df: DataFrame
+    flags: tuple[tuple[int, str], ...] = ()  # (op_id, retained flag column)
+    sel_ops: frozenset[int] = frozenset()
+    tables: tuple[str, ...] = ()  # table accesses
+    compat: tuple[tuple[str, str], ...] = ()  # (table, `_k_<table>` column)
+    anno_cols: tuple[str, ...] = ()
+
+    def on(self, df: DataFrame) -> "_Sub":
+        return replace(self, df=df)
+
+
+def _flag(sub: _Sub, op: A.Op, cond) -> _Sub:
+    name = f"_f{op.op_id}"
+    return replace(
+        sub,
+        df=sub.df.withColumn(name, F.coalesce(cond, F.lit(False)).cast("int")),
+        flags=sub.flags + ((op.op_id, name),),
+        anno_cols=sub.anno_cols + (name,),
+    )
+
+
 class _Builder:
-    def __init__(self, db, bt: Backtrace, orig_bt: Backtrace):
-        self.db = db
+    """Instrumented build of one SA's query.
+
+    A subtree that lies below the tracing cut (built before the cut is set,
+    with no GroupAgg or NestRel in it) depends only on its operator value,
+    ``db`` and the S₁ backtrace (the compat columns), so it is taken from and
+    stored in the question cache's ``instrumented`` memo and shared by every
+    SA. The cut, the layers and ``_c`` come from the SA's backtrace and are
+    built per SA.
+    """
+
+    def __init__(self, schemas: A.SchemaCache, bt: Backtrace, orig_bt: Backtrace):
+        self.schemas = schemas
         self.bt = bt
         self.orig_bt = orig_bt
-        self.flags: dict[int, str] = {}
-        self.sel_ops: set[int] = set()
         self.layers: list[Layer] = []
         self.cut_op_child: A.Op | None = None
-        self.compat_tables: dict[str, str] = {}
-        self.table_order: dict[str, int] = {}
-        self.anno_cols: list[str] = []
 
     # -- helpers -----------------------------------------------------------
     def _deferred_for(self, op_id: int) -> dict[str, list[Nip]]:
@@ -83,80 +114,80 @@ class _Builder:
                 out.setdefault(d.out_attr, []).append(d.nip)
         return out
 
-    def build(self, op: A.Op) -> DataFrame:
-        df = self._build(op)
+    def build(self, op: A.Op) -> _Sub:
+        sub = self._build(op)
         # Re-validated consistency at the cut level (paper contribution ii).
         if self.cut_op_child is not None:
             cut_nip = self.bt.level_nips[self.cut_op_child.op_id]
         else:
             cut_nip = self.bt.level_nips[op.op_id]
-        df = df.withColumn(
+        return sub.on(sub.df.withColumn(
             "_c", F.coalesce(to_spark_pred(cut_nip), F.lit(False)).cast("int")
-        )
-        return df
+        ))
 
-    def _flag(self, df: DataFrame, op: A.Op, cond) -> DataFrame:
-        name = f"_f{op.op_id}"
-        self.flags[op.op_id] = name
-        self.anno_cols.append(name)
-        return df.withColumn(name, F.coalesce(cond, F.lit(False)).cast("int"))
+    def _build(self, op: A.Op) -> _Sub:
+        if self.cut_op_child is not None:
+            return self._build_one(op)
+        memo = self.schemas.instrumented
+        sub = memo.get(op)
+        if sub is None:
+            sub = self._build_one(op)
+            if self.cut_op_child is None:  # no GroupAgg or NestRel in op's subtree
+                memo[op] = sub
+        return sub
 
-    # -- recursive instrumented build -------------------------------------
-    def _build(self, op: A.Op) -> DataFrame:
+    # -- one instrumented operator over its built children -----------------
+    def _build_one(self, op: A.Op) -> _Sub:
         if isinstance(op, A.TableAccess):
-            df = self.db[op.table]
-            self.table_order[op.table] = len(self.table_order)
-            tnip = self.orig_bt.table_nip(op.table)
-            if not tnip.is_trivial():
-                col = f"_k_{op.table}"
-                df = df.withColumn(
-                    col, F.coalesce(to_spark_pred(tnip), F.lit(False)).cast("int")
-                )
-                self.compat_tables[op.table] = col
-                self.anno_cols.append(col)
-            return df
+            df, tnip = self.schemas.db[op.table], self.orig_bt.table_nip(op.table)
+            if tnip.is_trivial():
+                return _Sub(df, tables=(op.table,))
+            col = f"_k_{op.table}"
+            df = df.withColumn(col, F.coalesce(to_spark_pred(tnip), F.lit(False)).cast("int"))
+            return _Sub(df, tables=(op.table,), compat=((op.table, col),), anno_cols=(col,))
 
         if isinstance(op, A.Select):
-            df = self._build(op.child)
+            sub = self._build(op.child)
             if self.layers:  # post-aggregation selection → virtual flag
                 self.layers[-1].post_filters.append((op.op_id, op.theta))
-                return df
-            self.sel_ops.add(op.op_id)
-            return self._flag(df, op, op.theta.to_col())
+                return sub
+            sub = _flag(sub, op, op.theta.to_col())
+            return replace(sub, sel_ops=sub.sel_ops | {op.op_id})
 
         if isinstance(op, A.Project):
-            df = self._build(op.child)
+            sub = self._build(op.child)
             if self.layers or self.cut_op_child is not None:
-                return df  # post-layer projections only rename for display
-            keep = [c for c in self.anno_cols if c in df.columns]
-            return df.select(*[e.to_col().alias(o) for o, e in op.items], *keep)
+                return sub  # post-layer projections only rename for display
+            # every annotation of the subtree is a column of its frame
+            items = [e.to_col().alias(o) for o, e in op.items]
+            return sub.on(sub.df.select(*items, *sub.anno_cols))
 
         if isinstance(op, A.Rename):
-            df = self._build(op.child)
+            sub = self._build(op.child)
             if self.layers or self.cut_op_child is not None:
-                return df
-            return A.rename_cols(df, op.mapping)
+                return sub
+            return sub.on(A.rename_cols(sub.df, op.mapping))
 
         if isinstance(op, A.Dedup):
             return self._build(op.child)
 
         if isinstance(op, A.FlattenRel):
-            df = self._build(op.child)
-            exists = (F.col(op.attr).isNotNull()) & (F.size(op.attr) > 0)
+            sub = self._build(op.child)
             if not op.outer:
-                df = self._flag(df, op, exists)
-            return A.explode_promote(df, op.attr, outer=True)
+                exists = (F.col(op.attr).isNotNull()) & (F.size(op.attr) > 0)
+                sub = _flag(sub, op, exists)
+            return sub.on(A.explode_promote(sub.df, op.attr, outer=True))
 
         if isinstance(op, A.FlattenTup):
-            return A.flatten_tuple(self._build(op.child), op.attr)
+            sub = self._build(op.child)
+            return sub.on(A.flatten_tuple(sub.df, op.attr))
 
         if isinstance(op, A.Join):
-            l = self._build(op.left)
-            r = self._build(op.right)
+            l, r = self._build(op.left), self._build(op.right)
             lm, rm = f"_m{op.op_id}l", f"_m{op.op_id}r"
-            l = l.withColumn(lm, F.lit(1))
-            r = r.withColumn(rm, F.lit(1))
-            df = l.join(r, on=A.equi_on(l, r, op.cond), how="full_outer")
+            ldf = l.df.withColumn(lm, F.lit(1))
+            rdf = r.df.withColumn(rm, F.lit(1))
+            df = ldf.join(rdf, on=A.equi_on(ldf, rdf, op.cond), how="full_outer")
             matched = F.col(lm).isNotNull() & F.col(rm).isNotNull()
             cond = {
                 "inner": matched,
@@ -164,30 +195,38 @@ class _Builder:
                 "right": F.col(rm).isNotNull(),
                 "full": F.lit(True),
             }[op.kind]
-            df = self._flag(df, op, cond)
-            return df.drop(lm, rm)
+            both = _Sub(
+                df,
+                l.flags + r.flags,
+                l.sel_ops | r.sel_ops,
+                l.tables + r.tables,
+                l.compat + r.compat,
+                l.anno_cols + r.anno_cols,
+            )
+            sub = _flag(both, op, cond)
+            return sub.on(sub.df.drop(lm, rm))
 
         if isinstance(op, A.NestTup):
-            df = self._build(op.child)
+            sub = self._build(op.child)
             if self.layers or self.cut_op_child is not None:
-                return df
-            return A.nest_tuple(df, op.attrs_in, op.out)
+                return sub
+            return sub.on(A.nest_tuple(sub.df, op.attrs_in, op.out))
 
         if isinstance(op, A.NestRel):
-            df = self._build(op.child)
+            sub = self._build(op.child)
             # terminal: don't nest — pre-nest rows witness the bag members
             if self.cut_op_child is None and not self.layers:
                 self.cut_op_child = op.child
-            return df
+            return sub
 
         if isinstance(op, A.GroupAgg):
-            df = self._build(op.child)
+            sub = self._build(op.child)
             if self.cut_op_child is None and not self.layers:
                 self.cut_op_child = op.child
                 key_nip = self.bt.level_nips[op.child.op_id]
             else:
                 key_nip = Tup({})  # stacked layer: keys are lower-layer outputs
-            df, norm = A.agg_inputs(df, op.aggs)
+            df, norm = A.agg_inputs(sub.df, op.aggs)
             layer = Layer(
                 op.op_id,
                 op.keys,
@@ -196,20 +235,31 @@ class _Builder:
                 value_preds=self._deferred_for(op.op_id),
             )
             self.layers.append(layer)
-            return df
+            return sub.on(df)
 
         raise NotImplementedError(f"tracing does not support {type(op).__name__}")
 
 
-def trace(sa: SchemaAlternative, db, orig_bt: Backtrace) -> Traced:
-    """Run instrumented execution of ``sa.query`` over ``db``."""
-    b = _Builder(db, sa.bt, orig_bt)
-    df = b.build(sa.query)
+def trace(sa: SchemaAlternative, schemas: A.SchemaCache, orig_bt: Backtrace) -> Traced:
+    """Run instrumented execution of ``sa.query`` over ``schemas.db``.
+
+    ``schemas`` is the question's cache: every SA traced through it shares
+    the instrumented subtrees below the tracing cut, which embed the compat
+    columns of ``orig_bt`` (S₁'s backtrace), so one cache serves one S₁.
+    """
+    if schemas.instrumented_bt is None:
+        schemas.instrumented_bt = orig_bt
+    assert schemas.instrumented_bt == orig_bt, "one question cache, one S₁ backtrace"
+    b = _Builder(schemas, sa.bt, orig_bt)
+    sub = b.build(sa.query)
+    table_order: dict[str, int] = {}
+    for table in sub.tables:
+        table_order[table] = len(table_order)
     return Traced(
-        df=df,
-        flags=b.flags,
-        sel_ops=frozenset(b.sel_ops),
+        df=sub.df,
+        flags=dict(sub.flags),
+        sel_ops=sub.sel_ops,
         layers=b.layers,
-        compat_tables=b.compat_tables,
-        table_order=b.table_order,
+        compat_tables=dict(sub.compat),
+        table_order=table_order,
     )

@@ -66,20 +66,16 @@ class TestRunningExample:
         assert resolve_source(fl.child, "address2", A.SchemaCache(db)) == ("person", "address2")
 
     def test_one_schema_derivation_per_operator(self, db, monkeypatch):
-        """Backtracing, SA pruning and every SA's backtrace share one schema
-        cache: each distinct operator value is analyzed exactly once."""
-        run, depth, derived = A.run, [0], Counter()
+        """Backtracing, SA pruning and every SA's backtrace share one
+        question cache: each distinct operator value's frame is built
+        exactly once, on top of its children's cached frames."""
+        build, derived = A.build, Counter()
 
-        def counting_run(op, tables):
-            if not depth[0]:  # count only outermost calls, not recursion
-                derived[op] += 1
-            depth[0] += 1
-            try:
-                return run(op, tables)
-            finally:
-                depth[0] -= 1
+        def counting_build(op, inputs, tables):
+            derived[op] += 1
+            return build(op, inputs, tables)
 
-        monkeypatch.setattr(A, "run", counting_run)
+        monkeypatch.setattr(A, "build", counting_build)
         approximate_msrs(RE.query(), db, RE.whynot_nip(), RE.alternatives(), with_sas=True)
         assert derived and set(derived.values()) == {1}
 

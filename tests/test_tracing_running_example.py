@@ -20,14 +20,14 @@ def setup(db):
     schemas = A.SchemaCache(db)
     bt = backtrace(q, RE.whynot_nip(), schemas)
     sas = enumerate_sas(q, RE.whynot_nip(), schemas, RE.alternatives())
-    return q, bt, sas
+    return q, bt, sas, schemas
 
 
 class TestTracingAnnotations:
     def test_sa1_flags_match_figures_5_and_6(self, db, setup):
         """Under S1: flatten address2, σ year≥2019 — flags per Figures 5/6."""
-        q, bt, sas = setup
-        tr = trace(sas[0], db, bt)
+        q, bt, sas, schemas = setup
+        tr = trace(sas[0], schemas, bt)
         fl = [o for o in A.walk(q) if isinstance(o, A.FlattenRel)][0]
         sel = [o for o in A.walk(q) if isinstance(o, A.Select)][0]
         # the instrumented π already dropped `year`; (name, city) identifies rows
@@ -44,15 +44,15 @@ class TestTracingAnnotations:
         assert r["_c"] == 0
 
     def test_sa1_no_padded_rows_for_nonempty(self, db, setup):
-        q, bt, sas = setup
-        tr = trace(sas[0], db, bt)
+        q, bt, sas, schemas = setup
+        tr = trace(sas[0], schemas, bt)
         assert tr.df.count() == 4  # 2 address2 entries per person
 
     def test_sa2_flags(self, db, setup):
         """Under S2 (flatten address1): Peter's NY/2010 row is consistent but
         not retained by the selection (year < 2019)."""
-        q, bt, sas = setup
-        tr2 = trace(sas[1], db, bt)
+        q, bt, sas, schemas = setup
+        tr2 = trace(sas[1], schemas, bt)
         sel = [o for o in A.walk(q) if isinstance(o, A.Select)][0]
         rows = tr2.df.select("name", "city", tr2.flags[sel.op_id], "_c").collect()
         by_key = {(r["name"], r["city"]): r for r in rows}
@@ -64,8 +64,8 @@ class TestTracingAnnotations:
     def test_compat_column_tracks_source_compatibles(self, db, setup):
         """WN++ substrate: under the original schema only Sue is compatible
         (Figure 4's consistentS1 column), without re-validation."""
-        q, bt, sas = setup
-        tr = trace(sas[0], db, bt)
+        q, bt, sas, schemas = setup
+        tr = trace(sas[0], schemas, bt)
         col = tr.compat_tables["person"]
         vals = {r["name"]: r[col] for r in tr.df.select("name", col).distinct().collect()}
         assert vals == {"Peter": 0, "Sue": 1}
@@ -74,8 +74,8 @@ class TestTracingAnnotations:
         """Sue's (LA, 2019) successor is a successor of a compatible (_k=1)
         but not consistent after flattening (_c=0) — the false positive the
         paper's re-validation removes."""
-        q, bt, sas = setup
-        tr = trace(sas[0], db, bt)
+        q, bt, sas, schemas = setup
+        tr = trace(sas[0], schemas, bt)
         col = tr.compat_tables["person"]
         r = [
             x
@@ -85,14 +85,14 @@ class TestTracingAnnotations:
         assert r[col] == 1 and r["_c"] == 0
 
     def test_cut_is_pre_nest(self, db, setup):
-        q, bt, sas = setup
-        tr = trace(sas[0], db, bt)
+        q, bt, sas, schemas = setup
+        tr = trace(sas[0], schemas, bt)
         assert tr.layers == []
         assert "city" in tr.df.columns and "nList" not in tr.df.columns
 
     def test_stats_are_small(self, db, setup):
-        q, bt, sas = setup
-        tr = trace(sas[0], db, bt)
+        q, bt, sas, schemas = setup
+        tr = trace(sas[0], schemas, bt)
         stats = collect_stats(tr)
         assert stats["_n"].sum() == 4
         assert set(stats.columns) >= {"_c", "_n"}
