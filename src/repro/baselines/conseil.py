@@ -30,7 +30,7 @@ def conseil(query: A.Op, db, whynot) -> list[frozenset[int]]:
     stats = collect_stats(traced, extra_cols=tuple(traced.compat_tables.values()))
     ev = CandidateEval(stats, traced)
 
-    tables = list(traced.compat_tables) or list(traced.table_order)
+    tables = traced.compat_tables or traced.tables
     relaxed: frozenset[int] = frozenset()
     # each round adds a new flagged operator, so this ends within |flags| rounds
     while not (relaxed and ev.success(relaxed)):

@@ -86,7 +86,7 @@ def wnpp(query: A.Op, db, whynot) -> list[frozenset[int]]:
 
     explanations: list[frozenset[int]] = []
     # no constrained table: every tuple of every table is compatible
-    for table in list(traced.compat_tables) or list(traced.table_order):
+    for table in traced.compat_tables or traced.tables:
         frontier, last_decreasing = _frontier(ev, query, table)
         picked = frontier if frontier is not None else last_decreasing
         if picked is None:

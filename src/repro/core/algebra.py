@@ -104,17 +104,10 @@ class Project(Op):
     items: tuple[tuple[str, Scalar], ...]
     symbol = "π"
 
-    def __init__(self, child, items, **kw):
-        object.__setattr__(self, "child", child)
-        norm = tuple(
-            (out, Attr(e) if isinstance(e, str) else e)
-            for out, e in (items.items() if isinstance(items, dict) else items)
-        )
+    def __post_init__(self):
+        items = self.items.items() if isinstance(self.items, dict) else self.items
+        norm = tuple((o, Attr(e) if isinstance(e, str) else e) for o, e in items)
         object.__setattr__(self, "items", norm)
-        if "op_id" in kw:
-            object.__setattr__(self, "op_id", kw["op_id"])
-        else:
-            object.__setattr__(self, "op_id", _next_id())
 
     def children(self):
         return (self.child,)
@@ -152,12 +145,8 @@ class Join(Op):
     kind: str = "inner"  # inner | left | right | full
     symbol = "⋈"
 
-    def __init__(self, left, right, cond, kind="inner", **kw):
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
-        object.__setattr__(self, "cond", tuple(tuple(p) for p in cond))
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "op_id", kw.get("op_id", _next_id()))
+    def __post_init__(self):
+        object.__setattr__(self, "cond", tuple(tuple(p) for p in self.cond))
 
     def children(self):
         return (self.left, self.right)
@@ -229,11 +218,8 @@ class NestTup(Op):
     out: str
     symbol = "N^T"
 
-    def __init__(self, child, attrs_in, out, **kw):
-        object.__setattr__(self, "child", child)
-        object.__setattr__(self, "attrs_in", tuple(attrs_in))
-        object.__setattr__(self, "out", out)
-        object.__setattr__(self, "op_id", kw.get("op_id", _next_id()))
+    def __post_init__(self):
+        object.__setattr__(self, "attrs_in", tuple(self.attrs_in))
 
     def children(self):
         return (self.child,)
@@ -259,11 +245,8 @@ class NestRel(Op):
     out: str
     symbol = "N^R"
 
-    def __init__(self, child, attrs_in, out, **kw):
-        object.__setattr__(self, "child", child)
-        object.__setattr__(self, "attrs_in", tuple(attrs_in))
-        object.__setattr__(self, "out", out)
-        object.__setattr__(self, "op_id", kw.get("op_id", _next_id()))
+    def __post_init__(self):
+        object.__setattr__(self, "attrs_in", tuple(self.attrs_in))
 
     def children(self):
         return (self.child,)
@@ -295,15 +278,13 @@ class GroupAgg(Op):
     child: Op
     keys: tuple[str, ...]
     aggs: tuple[tuple[str, object, str], ...]
-    key_out: tuple[str, ...]
+    key_out: tuple[str, ...] | None = None  # None: the keys themselves
     symbol = "γ"
 
-    def __init__(self, child, keys, aggs, key_out=None, **kw):
-        object.__setattr__(self, "child", child)
-        object.__setattr__(self, "keys", tuple(keys))
-        object.__setattr__(self, "aggs", tuple(tuple(x) for x in aggs))
-        object.__setattr__(self, "key_out", tuple(key_out) if key_out else tuple(keys))
-        object.__setattr__(self, "op_id", kw.get("op_id", _next_id()))
+    def __post_init__(self):
+        object.__setattr__(self, "keys", tuple(self.keys))
+        object.__setattr__(self, "aggs", tuple(tuple(x) for x in self.aggs))
+        object.__setattr__(self, "key_out", tuple(self.key_out or self.keys))
 
     def children(self):
         return (self.child,)
@@ -395,11 +376,9 @@ class Rename(Op):
     mapping: tuple[tuple[str, str], ...]  # (old, new)
     symbol = "ρ"
 
-    def __init__(self, child, mapping, **kw):
-        object.__setattr__(self, "child", child)
-        m = mapping.items() if isinstance(mapping, dict) else mapping
+    def __post_init__(self):
+        m = self.mapping.items() if isinstance(self.mapping, dict) else self.mapping
         object.__setattr__(self, "mapping", tuple(tuple(p) for p in m))
-        object.__setattr__(self, "op_id", kw.get("op_id", _next_id()))
 
     def children(self):
         return (self.child,)
@@ -479,7 +458,7 @@ def explode_promote(df: DataFrame, attr: str, outer: bool) -> DataFrame:
 
 def flatten_tuple(df: DataFrame, attr: str) -> DataFrame:
     """Tuple flatten: promote the fields of struct ``attr``."""
-    inner = [f.name for f in struct_type_at(df.schema, attr).fields]
+    inner = type_at(df.schema, attr).fieldNames()
     promoted = [F.col(f"{attr}.{f}").alias(f) for f in inner]
     if "." in attr:  # nested struct path: promote fields, keep the rest
         return df.select("*", *promoted)
@@ -591,7 +570,7 @@ class SchemaCache:
         return [f.name for f in self.schema(op).fields]
 
     def field_type(self, op: Op, name: str):
-        return struct_type_at(self.schema(op), name)
+        return type_at(self.schema(op), name)
 
 
 def materialize(db: dict[str, DataFrame]) -> dict[str, DataFrame]:
@@ -602,11 +581,14 @@ def materialize(db: dict[str, DataFrame]) -> dict[str, DataFrame]:
     return {name: df.localCheckpoint(eager=False) for name, df in db.items()}
 
 
-def struct_type_at(schema, path: str):
-    """Resolve a possibly dotted attribute path to its (struct) type."""
+def type_at(schema, path: str):
+    """The type of the dotted attribute ``path`` in ``schema`` (each step
+    into a struct), or ``None`` if there is no such attribute."""
     cur = schema
     for part in path.split("."):
-        cur = dict((f.name, f.dataType) for f in cur.fields)[part]
+        if not isinstance(cur, StructType) or part not in cur.fieldNames():
+            return None
+        cur = cur[part].dataType
     return cur
 
 

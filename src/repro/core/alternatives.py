@@ -60,17 +60,6 @@ def _schema_sig(schema) -> list[tuple[str, str]]:
     return [(f.name, f.dataType.simpleString()) for f in schema.fields]
 
 
-def _type_at(schema, path: str):
-    """The type of the dotted attribute ``path`` in ``schema`` (each step
-    into a struct), or ``None`` if there is no such attribute."""
-    cur = schema
-    for part in path.split("."):
-        if not isinstance(cur, T.StructType) or part not in cur.fieldNames():
-            return None
-        cur = cur[part].dataType
-    return cur
-
-
 def _refs_valid(query: A.Op, schemas: A.SchemaCache) -> bool:
     """Structural check: every operator parameter attribute must exist in the
     operator's input schema. Catalyst's ``ResolveMissingReferences`` would
@@ -86,18 +75,18 @@ def _refs_valid(query: A.Op, schemas: A.SchemaCache) -> bool:
             continue
         if isinstance(op, A.Join):
             l, r = (schemas.schema(c) for c in children)
-            if any(_type_at(l, lc) is None or _type_at(r, rc) is None for lc, rc in op.cond):
+            if any(A.type_at(l, lc) is None or A.type_at(r, rc) is None for lc, rc in op.cond):
                 return False
             continue
         child_schema = schemas.schema(children[0])
         for p in op.param_attrs():
-            if p != "*" and _type_at(child_schema, p) is None:
+            if p != "*" and A.type_at(child_schema, p) is None:
                 return False
         if isinstance(op, A.FlattenTup):
-            if not isinstance(_type_at(child_schema, op.attr), T.StructType):
+            if not isinstance(A.type_at(child_schema, op.attr), T.StructType):
                 return False
         elif isinstance(op, A.FlattenRel):
-            t = _type_at(child_schema, op.attr)
+            t = A.type_at(child_schema, op.attr)
             if not (isinstance(t, T.ArrayType) and isinstance(t.elementType, T.StructType)):
                 return False
     return True

@@ -9,12 +9,19 @@ of that, so we keep a tiny AST and compile to ``Column`` on demand.
 """
 from __future__ import annotations
 
+import math
+import re
 from dataclasses import dataclass
 
 from pyspark.sql import Column
 from pyspark.sql import functions as F
 
 _CMP_OPS = {"=", "!=", "<", "<=", ">", ">="}
+
+
+def _missing(value) -> bool:
+    """A null value: ``None``, or NaN as pandas reads a null key."""
+    return value is None or (isinstance(value, float) and math.isnan(value))
 
 
 class Scalar:
@@ -166,8 +173,9 @@ class Cmp(Pred):
         return Cmp(self.left.subst(mapping), self.op, self.right.subst(mapping))
 
     def holds(self, value) -> bool:
-        """Evaluate assuming ``left`` is the single attribute and right a const."""
-        if value is None:
+        """Evaluate assuming ``left`` is the single attribute and right a const;
+        a missing value fails, as SQL's null comparison does."""
+        if _missing(value):
             return False
         c = self.right.value if isinstance(self.right, Const) else self.right
         return {
@@ -202,9 +210,7 @@ class Like(Pred):
         return Like(self.expr.subst(mapping), self.pattern, self.negated)
 
     def holds(self, value) -> bool:
-        import re
-
-        if value is None:
+        if _missing(value):
             return False
         rx = (
             "^"

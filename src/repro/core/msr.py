@@ -88,10 +88,15 @@ def collect_stats(tr: Traced, extra_cols: tuple[str, ...] = ()) -> pd.DataFrame:
         grouped = df.groupBy(*flag_cols, "_c").agg(F.count(F.lit(1)).alias("_n"))
         return grouped.toPandas()
 
-    keys = list(tr.layers[0].keys)
-    aggs = [F.count(F.lit(1)).alias("_n"), F.sum("_c").alias("_nc")]
+    layer0 = tr.layers[0]
+    keys = list(layer0.keys)
+    if not layer0.key_nip.is_trivial():
+        # ``_c`` is the key constraint (DESIGN decision 2): rows failing it
+        # collapse into one null-key group per mask, which never qualifies
+        keys = [F.expr(f"if(_c = 1, `{k}`, null) as `{k}`") for k in keys]
+    aggs = [F.count(F.lit(1)).alias("_n")]
     schema_types = {f.name: f.dataType for f in df.schema.fields}
-    for fn, attr, out in tr.layers[0].aggs:
+    for fn, attr, out in layer0.aggs:
         if attr == "*":
             continue
         col = F.col(attr)
@@ -200,7 +205,7 @@ def _columns(stats: pd.DataFrame) -> dict[str, np.ndarray]:
     """
     out = {}
     for col in stats.columns:
-        summed = col in ("_n", "_nc") or col.startswith(_SUMMED)
+        summed = col == "_n" or col.startswith(_SUMMED)
         if summed or col.startswith(("_min_", "_max_")):
             v = stats[col].to_numpy(dtype=float, na_value=np.nan)
             out[col] = np.nan_to_num(v, nan=0.0) if summed else v
@@ -225,12 +230,11 @@ class CandidateEval:
 
     Built once per SA: the flags of each stats row become two bitmasks
     (``ones``: flag = 1, ``zeros``: flag = 0; a null flag is in neither),
-    counts and aggregate inputs become float arrays, and the group codes,
-    key-constraint matches and key post-filter results are computed once per
-    group. A candidate ``E`` then costs a few whole-table array reductions:
-    its allowed rows are those whose flags outside ``E`` are all 1. The
-    lineage baselines read their successor counts from it too
-    (:meth:`survivors`).
+    counts and aggregate inputs become float arrays, and the group codes and
+    key post-filter results are computed once per group. A candidate ``E``
+    then costs a few whole-table array reductions: its allowed rows are
+    those whose flags outside ``E`` are all 1. The lineage baselines read
+    their successor counts from it too (:meth:`survivors`).
     """
 
     def __init__(self, stats: pd.DataFrame, tr: Traced):
@@ -248,6 +252,7 @@ class CandidateEval:
         self.cols = _columns(stats)
         self.n = self.cols["_n"]
         self.consistent = stats["_c"].to_numpy() == 1
+        self.cols["_nc"] = self.n * self.consistent
         self.orig_n = int(self.n[self.ones == self.full].sum())
         # the baselines' source-compatibility flags (a null flag is not 1)
         self.compat = {
@@ -268,13 +273,6 @@ class CandidateEval:
             self.codes = np.zeros(len(stats), np.intp)
             kds = [{}]
         self.ngroups = len(kds)
-        constraints = {
-            k: v for k, v in layer0.key_nip.fields if k in keys and not v.is_trivial()
-        }
-        self.key_ok = np.array(
-            [all(N.matches(kd[k], nip) for k, nip in constraints.items()) for kd in kds],
-            dtype=bool,
-        )
         # post-aggregation selections: (op id, predicate, aggregate output it
         # reads or None, precomputed per-group result if it reads a key)
         outs = {out for _, _, out in layer0.aggs}
@@ -317,8 +315,9 @@ class CandidateEval:
                     self.codes[allowed], self.ngroups)
         subset_ok = bool(E & self.tr.sel_ops)
         intervals = {out: _agg_interval(fn, g, out, subset_ok) for fn, _, out in layer0.aggs}
-        # a qualifying group has a re-validated-consistent contributor
-        ok = self.key_ok & (g["_nc"] > 0)
+        # a qualifying group has a re-validated-consistent contributor (so
+        # its keys match the key constraint)
+        ok = g["_nc"] > 0
         for out, nips in layer0.value_preds.items():
             lo, hi = intervals.get(out, (np.nan, np.nan))
             for nv in nips:

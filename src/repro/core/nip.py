@@ -5,23 +5,24 @@ right type, ``*`` matches 0+ additional tuples of a nested relation, constants
 match themselves, and (our extension, needed by the TPC-H why-not tuples such
 as ``⟨avgDisc : > 0.45⟩``) value predicates match any value satisfying them.
 
-Two consumers:
-- :func:`matches` — the full Definition 4 matcher on collected Python data,
-  including the bag multiplicity assignment (condition 4), via backtracking.
+Two implementations of Definition 4:
 - :func:`to_spark_pred` — compile a tuple-typed NIP into a Spark boolean
-  ``Column`` used for the ``consistent`` annotation during data tracing.
-  Bags compile to ``F.exists`` (one existential per explicit element — a
-  sound approximation used only for annotation flags; final answers are
-  re-checked with :func:`matches`).
+  ``Column``: the ``consistent`` annotation ``_c`` of data tracing, the one
+  match the explanation search reads. Bags compile to ``F.exists`` (one
+  existential per explicit element, without multiplicities); a value
+  predicate that cannot be compiled raises rather than match everything.
+- :func:`matches` — the full matcher on collected Python data, including the
+  bag multiplicity assignment (condition 4), via backtracking; the tests'
+  oracle for the compiled predicate.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from pyspark.sql import Column
 from pyspark.sql import functions as F
 
-from .exprs import Pred
+from .exprs import Cmp, Const, Pred
 
 
 class Nip:
@@ -208,8 +209,6 @@ def _pred_on_col(col: Column, nip: Nip) -> Column:
         return col == F.lit(nip.value)
     if isinstance(nip, ValPred):
         # Only comparisons against constants are compilable here.
-        from .exprs import Cmp, Const
-
         p = nip.pred
         if isinstance(p, Cmp) and isinstance(p.right, Const):
             r = F.lit(p.right.value)
@@ -221,7 +220,7 @@ def _pred_on_col(col: Column, nip: Nip) -> Column:
                 ">": col > r,
                 ">=": col >= r,
             }[p.op]
-        return F.lit(True)  # uncompilable predicate → optimistic flag
+        raise NotImplementedError(f"value predicate {p!r} does not compile to Spark")
     if isinstance(nip, Tup):
         out = F.lit(True)
         for name, child in nip.fields:

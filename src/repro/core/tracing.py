@@ -59,7 +59,7 @@ class Traced:
     sel_ops: frozenset  # pre-layer selections (admit restrictive reparams)
     layers: list[Layer]
     compat_tables: dict[str, str]  # table → compat flag column (`_k_<table>`)
-    table_order: dict[str, int]  # table → position (for WN++ path analysis)
+    tables: tuple[str, ...]  # accessed tables in build order (for WN++)
 
 
 @dataclass(frozen=True)
@@ -224,6 +224,9 @@ class _Builder:
             if self.cut_op_child is None and not self.layers:
                 self.cut_op_child = op.child
                 key_nip = self.bt.level_nips[op.child.op_id]
+                # ``_c`` compiles key_nip, so it is a function of the group key
+                # (collect_stats relies on it, DESIGN decision 2)
+                assert {k for k, _ in key_nip.fields} <= set(op.keys), (key_nip, op.keys)
             else:
                 key_nip = Tup({})  # stacked layer: keys are lower-layer outputs
             df, norm = A.agg_inputs(sub.df, op.aggs)
@@ -252,14 +255,11 @@ def trace(sa: SchemaAlternative, schemas: A.SchemaCache, orig_bt: Backtrace) -> 
     assert schemas.instrumented_bt == orig_bt, "one question cache, one S₁ backtrace"
     b = _Builder(schemas, sa.bt, orig_bt)
     sub = b.build(sa.query)
-    table_order: dict[str, int] = {}
-    for table in sub.tables:
-        table_order[table] = len(table_order)
     return Traced(
         df=sub.df,
         flags=dict(sub.flags),
         sel_ops=sub.sel_ops,
         layers=b.layers,
         compat_tables=dict(sub.compat),
-        table_order=table_order,
+        tables=tuple(dict.fromkeys(sub.tables)),
     )

@@ -104,6 +104,34 @@ def test_subst_changes_flatten_attr():
     assert f2.attr == "address1" and f2.op_id == f.op_id
 
 
+def test_rewriting_consumes_no_op_id():
+    """Rewrites keep every id and draw no new one, so the ids (and labels) of
+    queries built later do not depend on how many rewrites ran before."""
+    t = A.TableAccess("t")
+    ops = [A.Select(t, cmp("a", ">", 1))]
+    ops.append(A.Project(ops[-1], {"a": "a", "b": "b", "s": "s", "r": "r"}))
+    ops.append(A.Rename(ops[-1], {"b": "b2"}))
+    ops.append(A.FlattenTup(ops[-1], "s"))
+    ops.append(A.FlattenRel(ops[-1], "r"))
+    ops.append(A.NestTup(ops[-1], ["a"], "ta"))
+    ops.append(A.Join(ops[-1], A.TableAccess("u"), [("b2", "c")]))
+    ops.append(A.NestRel(ops[-1], ["c"], "cs"))
+    ops.append(A.AggPerTuple(ops[-1], "count", "cs", "n"))
+    ops.append(A.GroupAgg(ops[-1], ["n"], [("count", "*", "m")]))
+    ops.append(A.Dedup(A.Union(ops[-1], ops[-1])))
+    q = ops[-1]
+    types = {type(o) for o in A.walk(q)}
+    assert types == {c for c in vars(A).values()
+                     if isinstance(c, type) and issubclass(c, A.Op) and c is not A.Op}
+    subst = {o.op_id: {name: name + "_alt" for name in o.param_attrs()} for o in A.walk(q)}
+    before = A._next_id()
+    for _ in range(5):
+        rewritten = A.rewrite(q, subst)
+    assert A._next_id() == before + 1
+    assert [o.op_id for o in A.walk(rewritten)] == [o.op_id for o in A.walk(q)]
+    assert rewritten != q
+
+
 def test_union_and_dedup(spark):
     df = spark.createDataFrame([(1,), (1,), (2,)], "x int")
     dbl = {"t": df}

@@ -1,4 +1,5 @@
 """Expression AST: attrs, substitution, python evaluation, Spark compilation."""
+import numpy as np
 import pytest
 
 from repro.core.exprs import (
@@ -86,6 +87,16 @@ class TestHolds:
         assert Like(a("t"), "%Dey%", negated=True).holds("Smith")
         assert not Like(a("t"), "%Dey%", negated=True).holds("A Dey")
         assert not Like(a("t"), "%x%").holds(None)
+
+    @pytest.mark.parametrize("missing", [None, float("nan"), np.float64("nan")])
+    def test_missing_value_fails_every_predicate(self, missing):
+        """pandas reads a null string key as NaN: it fails like None does,
+        instead of raising on ``nan < "x"``."""
+        for op in ("=", "!=", "<", "<=", ">", ">="):
+            assert not cmp("k", op, "x").holds(missing)
+            assert not cmp("k", op, 3).holds(missing)
+        assert not Like(a("k"), "%").holds(missing)
+        assert not Like(a("k"), "x%", negated=True).holds(missing)
 
 
 class TestSparkCompilation:

@@ -5,6 +5,11 @@ Every random stats table is evaluated twice for every candidate: once by
 plain-Python oracle below, which walks the rows and groups one at a time.
 Success, Algorithm-4 necessity of each operator, the side-effect bounds and
 the baselines' successor counts must agree.
+
+The tables are states tracing can produce: under a key constraint ``_c`` is
+that constraint on the row's keys (the evaluator reads the key match from it,
+the oracle re-matches the keys with ``nip.matches``), and the keys of the
+rows that fail it are null, as ``collect_stats`` collapses them.
 """
 import itertools
 import math
@@ -202,7 +207,6 @@ def random_case(seed):
         r["k"] = rng.choice(["a", "b", "c", None, np.nan])
         r["j"] = rng.choice([1.0, 2.0, 3.0, np.nan])
         r["_n"] = n = rng.randint(1, 3)
-        r["_nc"] = n * r["_c"]
         for fn, attr, out in aggs:
             kind = next(k for _, o, k in AGGS if o == out)
             if kind == "str":
@@ -213,8 +217,8 @@ def random_case(seed):
     # the stats table carries key columns only when the layer groups by them
     cols = [*keys, *flags.values(), "_c", "_n"]
     if shape != "none":
-        cols += ["_nc"] + sorted({c for r in rows for c in r if c.startswith("_") and c[1:4]
-                                  in ("cnt", "sum", "pos", "neg", "min", "max")})
+        cols += sorted({c for r in rows for c in r if c.startswith("_") and c[1:4]
+                        in ("cnt", "sum", "pos", "neg", "min", "max")})
     rows = [{c: r.get(c) for c in cols} for r in rows]
 
     layers = []
@@ -225,16 +229,24 @@ def random_case(seed):
             key_nip["k"] = N.Val(rng.choice(["a", "b"]))
         if "j" in keys and rng.random() < 0.5:
             key_nip["j"] = N.ValPred(_pred_on(rng, "j"))
+        if key_nip:
+            # as traced: ``_c`` is the key constraint, and collect_stats nulls
+            # every key of the rows that fail it (one collapsed group per mask)
+            for r in rows:
+                r["_c"] = int(all(N.matches(r[k], nip) for k, nip in key_nip.items()))
+                if not r["_c"]:
+                    r.update(dict.fromkeys(keys))
         value_preds = {}
         for out in rng.sample(outs, rng.randint(0, len(outs))):
             value_preds[out] = [rng.choice([N.WILD, N.Val(rng.randint(-2, 6)),
                                             N.ValPred(_pred_on(rng, out))])]
         post = []
         for op in POST_OPS[: rng.randint(0, 2)]:
-            # ``Cmp.holds`` compares a missing string key (NaN) with a string
-            # constant and raises, so key post-filters read the numeric key
-            attr = rng.choice(outs + [k for k in keys if k == "j"])
-            post.append((op, _pred_on(rng, attr)))
+            attr = rng.choice(outs + list(keys))
+            if attr == "k":
+                post.append((op, cmp("k", rng.choice(OPS), rng.choice(["a", "b", "c"]))))
+            else:
+                post.append((op, _pred_on(rng, attr)))
         layers.append(Layer(40, keys, aggs, N.Tup(key_nip), value_preds, post))
         if shape == "stacked":
             layers.append(Layer(
@@ -246,9 +258,10 @@ def random_case(seed):
     compat_tables = {t: f"_k_{t}" for t in rng.sample(TABLES, rng.randint(0, len(TABLES)))}
     for r in rows:
         r.update({col: rng.choice([1, 1, 0, None]) for col in compat_tables.values()})
+        r["_nc"] = r["_n"] * r["_c"]  # the oracle's consistent rows; not a stats column
     stats = pd.DataFrame(rows, columns=[*cols, *compat_tables.values()])
     tr = Traced(df=None, flags=flags, sel_ops=sel_ops, layers=layers,
-                compat_tables=compat_tables, table_order={})
+                compat_tables=compat_tables, tables=())
     return stats, rows, tr
 
 
@@ -301,11 +314,15 @@ def test_cases_cover_the_edge_cases():
             refs = {next(iter(p.attrs())) for _, p in layer0.post_filters}
             if refs & set(layer0.keys):
                 seen.add("key post-filter")
+            if "k" in refs and stats["k"].isna().any():
+                seen.add("post-filter on a missing string key")
+            if not layer0.key_nip.is_trivial() and (stats["_c"] == 0).any():
+                seen.add("collapsed rows")
             if refs & {out for _, _, out in layer0.aggs}:
                 seen.add("aggregate post-filter")
     assert seen == {
         "layer", "no layer", "stacked", "null flag", "null compat flag", "missing key",
         "count(*)",
         "non-numeric count", "all-null sum", "mixed signs", "key post-filter",
-        "aggregate post-filter",
+        "aggregate post-filter", "post-filter on a missing string key", "collapsed rows",
     }

@@ -2,7 +2,7 @@
 import pytest
 
 from repro.core import nip as N
-from repro.core.exprs import a, c, cmp
+from repro.core.exprs import Like, a, c, cmp
 
 
 def t_sue():
@@ -154,3 +154,12 @@ class TestSparkCompilation:
     def test_trivial_nip_keeps_all(self, person):
         nip = N.Tup({"name": N.WILD})
         assert person.filter(N.to_spark_pred(nip)).count() == 2
+
+    def test_uncompilable_value_predicate_raises(self, spark):
+        """``_c`` is the only key-constraint check: a predicate it cannot
+        express must not turn into a match-everything flag."""
+        nip = N.Tup({"t": N.ValPred(Like(a("t"), "%x%"))})
+        with pytest.raises(NotImplementedError, match="does not compile"):
+            N.to_spark_pred(nip)
+        with pytest.raises(NotImplementedError):
+            N.to_spark_pred(N.Tup({"v": N.ValPred(cmp("v", "<", a("w")))}))

@@ -56,7 +56,7 @@ def test_shared_subtrees_give_the_stats_of_a_fresh_trace(questions, key):
     for sa in sas + sas[:1]:
         shared = trace(sa, schemas, orig_bt)
         fresh = trace(sa, A.SchemaCache(db), orig_bt)
-        for attr in ("flags", "sel_ops", "compat_tables", "table_order", "layers"):
+        for attr in ("flags", "sel_ops", "compat_tables", "tables", "layers"):
             assert getattr(shared, attr) == getattr(fresh, attr), attr
         extra = tuple(shared.compat_tables.values())
         pd.testing.assert_frame_equal(
