@@ -2,9 +2,11 @@
 
 Each operator is an AST node with a unique ``op_id`` and a printable label
 (``σ³``, ``F^I⁵``, …). ``build(op, inputs, db)`` applies one operator's
-*original* semantics of Table 1 to its children's frames with the DataFrame
-API (Catalyst plans, no RDDs); ``run(op, db)`` is the recursion over it and
-``SchemaCache`` its memo per question. The tracing module
+*original* semantics of Table 1 to its children's frames (Catalyst plans, no
+RDDs): expressions go in as Spark SQL text (``filter``/``selectExpr``), and
+the DataFrame API builds only the structure (join conditions, ``explode``,
+``struct``/``collect_list``, ``groupBy``). ``run(op, db)`` is the recursion
+over it and ``SchemaCache`` its memo per question. The tracing module
 re-interprets the same AST with instrumented semantics.
 
 Representation choices (documented in DESIGN.md):
@@ -25,7 +27,7 @@ from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 from pyspark.sql.types import StructType
 
-from .exprs import Attr, Pred, Scalar
+from .exprs import Attr, Pred, Scalar, sql_path
 
 _ids = itertools.count(1)
 
@@ -399,39 +401,25 @@ class Rename(Op):
 # ---------------------------------------------------------------------------
 
 
-def _agg_col(fn: str, attr: str):
-    if attr == "*":
-        assert fn == "count"
-        return F.count(F.lit(1))
-    col = F.col(attr)
-    return {
-        "count": F.count(col),
-        "sum": F.sum(col),
-        "avg": F.avg(col),
-        "min": F.min(col),
-        "max": F.max(col),
-    }[fn]
-
-
-def _per_tuple_agg_col(op: AggPerTuple):
-    arr = F.col(op.attr)
-    elems = F.expr(
-        f"transform({op.attr}, x -> x{'.' + op.inner if op.inner else ''})"
-    )
-    nonnull = F.filter(elems, lambda x: x.isNotNull())
+def _per_tuple_agg_sql(op: AggPerTuple) -> str:
+    """γ per tuple as one SQL expression over the non-null elements."""
+    inner = "." + sql_path(op.inner) if op.inner else ""
+    nonnull = f"filter(transform({sql_path(op.attr)}, _x -> _x{inner}), _x -> _x IS NOT NULL)"
     if op.fn == "count":
-        return F.coalesce(F.size(nonnull), F.lit(0))
-    total = F.aggregate(nonnull, F.lit(0.0), lambda acc, x: acc + x.cast("double"))
-    n = F.size(nonnull)
+        return f"coalesce(size({nonnull}), 0)"
+    if op.fn in ("min", "max"):
+        return f"array_{op.fn}({nonnull})"
+    total = f"aggregate({nonnull}, 0.0D, (_acc, _x) -> _acc + CAST(_x AS DOUBLE))"
     if op.fn == "sum":
-        return F.when(n > 0, total)
+        return f"CASE WHEN size({nonnull}) > 0 THEN {total} END"
     if op.fn == "avg":
-        return F.when(n > 0, total / n)
-    if op.fn == "min":
-        return F.array_min(nonnull)
-    if op.fn == "max":
-        return F.array_max(nonnull)
+        return f"CASE WHEN size({nonnull}) > 0 THEN {total} / size({nonnull}) END"
     raise ValueError(op.fn)
+
+
+def project_sql(items) -> list[str]:
+    """π items ``(out_name, Scalar)`` as ``selectExpr`` expressions."""
+    return [f"{e.to_sql()} AS {sql_path(o)}" for o, e in items]
 
 
 def equi_on(l: DataFrame, r: DataFrame, cond):
@@ -451,18 +439,18 @@ def rename_cols(df: DataFrame, mapping) -> DataFrame:
 
 def explode_promote(df: DataFrame, attr: str, outer: bool) -> DataFrame:
     """Relation flatten: explode ``attr`` and promote the element fields."""
-    ex = F.explode_outer(attr) if outer else F.explode(attr)
-    df = df.select("*", ex.alias("__e")).drop(attr)
+    gen = "explode_outer" if outer else "explode"
+    df = df.selectExpr("*", f"{gen}({sql_path(attr)}) AS __e").drop(attr)
     return df.select(*[c for c in df.columns if c != "__e"], "__e.*")
 
 
 def flatten_tuple(df: DataFrame, attr: str) -> DataFrame:
     """Tuple flatten: promote the fields of struct ``attr``."""
     inner = type_at(df.schema, attr).fieldNames()
-    promoted = [F.col(f"{attr}.{f}").alias(f) for f in inner]
+    promoted = [f"{sql_path(attr)}.{sql_path(f)} AS {sql_path(f)}" for f in inner]
     if "." in attr:  # nested struct path: promote fields, keep the rest
-        return df.select("*", *promoted)
-    return df.select(*[c for c in df.columns if c != attr], *promoted)
+        return df.selectExpr("*", *promoted)
+    return df.selectExpr(*[sql_path(c) for c in df.columns if c != attr], *promoted)
 
 
 def nest_tuple(df: DataFrame, attrs_in, out: str) -> DataFrame:
@@ -471,15 +459,14 @@ def nest_tuple(df: DataFrame, attrs_in, out: str) -> DataFrame:
 
 
 def agg_inputs(df: DataFrame, aggs):
-    """Materialize expression-aggregate inputs as ``_in_<out>`` columns;
-    returns the frame and the aggregate specs over plain column names."""
-    norm = []
-    for f, a, o in aggs:
-        if isinstance(a, Scalar):
-            df = df.withColumn(f"_in_{o}", a.to_col())
-            a = f"_in_{o}"
-        norm.append((f, a, o))
-    return df, tuple(norm)
+    """Materialize expression-aggregate inputs as ``_in_<out>`` columns (one
+    ``selectExpr``); returns the frame and the aggregate specs over plain
+    column names."""
+    inputs = tuple((f"_in_{o}", a) for _, a, o in aggs if isinstance(a, Scalar))
+    if inputs:
+        df = df.selectExpr("*", *project_sql(inputs))
+    norm = tuple((f, f"_in_{o}" if isinstance(a, Scalar) else a, o) for f, a, o in aggs)
+    return df, norm
 
 
 def build(op: Op, inputs: tuple[DataFrame, ...], db: dict[str, DataFrame]) -> DataFrame:
@@ -498,9 +485,9 @@ def build(op: Op, inputs: tuple[DataFrame, ...], db: dict[str, DataFrame]) -> Da
         return l.join(r, on=equi_on(l, r, op.cond), how=how)
     (df,) = inputs
     if isinstance(op, Select):
-        return df.filter(op.theta.to_col())
+        return df.filter(op.theta.to_sql())
     if isinstance(op, Project):
-        return df.select(*[e.to_col().alias(o) for o, e in op.items])
+        return df.selectExpr(*project_sql(op.items))
     if isinstance(op, Rename):
         return rename_cols(df, op.mapping)
     if isinstance(op, FlattenRel):
@@ -516,13 +503,15 @@ def build(op: Op, inputs: tuple[DataFrame, ...], db: dict[str, DataFrame]) -> Da
         )
     if isinstance(op, GroupAgg):
         df, norm = agg_inputs(df, op.aggs)
-        aggs = [_agg_col(f, a).alias(o) for f, a, o in norm]
+        aggs = [F.expr(f"{f}({'1' if a == '*' else sql_path(a)}) AS {sql_path(o)}")
+                for f, a, o in norm]
         if op.keys:
-            keyed = df.groupBy(*[F.col(k).alias(o) for k, o in zip(op.keys, op.key_out)])
-            return keyed.agg(*aggs)
+            keys = [F.expr(f"{sql_path(k)} AS {sql_path(o)}")
+                    for k, o in zip(op.keys, op.key_out)]
+            return df.groupBy(*keys).agg(*aggs)
         return df.agg(*aggs)
     if isinstance(op, AggPerTuple):
-        return df.withColumn(op.out, _per_tuple_agg_col(op))
+        return df.withColumn(op.out, F.expr(_per_tuple_agg_sql(op)))
     if isinstance(op, Dedup):
         return df.distinct()
     raise TypeError(f"unknown operator {op!r}")

@@ -24,7 +24,7 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from pyspark.errors import AnalysisException
+from pyspark.errors import AnalysisException, ParseException
 from pyspark.sql import types as T
 
 from . import algebra as A
@@ -154,6 +154,8 @@ def enumerate_sas(
             if not _refs_valid(q2, schemas):
                 continue
             sig = _schema_sig(schemas.schema(q2))
+        except ParseException:
+            raise  # malformed SQL text is a compiler bug, not an invalid SA
         except AnalysisException:
             continue  # invalid query under this substitution — pruned
         if sig != orig_schema:

@@ -5,7 +5,11 @@ conditions) must be *introspectable* — schema backtracing needs the set of
 referenced attribute paths, schema alternatives substitute attributes, and
 data tracing needs both the original predicate (to compute ``retained``
 flags) and its "full relaxation". Raw Spark ``Column`` objects expose none
-of that, so we keep a tiny AST and compile to ``Column`` on demand.
+of that, so we keep a tiny AST and compile it to Spark SQL text on demand
+(``to_sql``; attribute paths through :func:`sql_path`, constants through
+:func:`sql_lit`). The text goes to ``DataFrame.filter``/``selectExpr``, which
+parse it once on the JVM side, so an expression costs a few py4j round trips
+however many nodes it has (DESIGN decision 8).
 """
 from __future__ import annotations
 
@@ -13,10 +17,37 @@ import math
 import re
 from dataclasses import dataclass
 
-from pyspark.sql import Column
-from pyspark.sql import functions as F
-
 _CMP_OPS = {"=", "!=", "<", "<=", ">", ">="}
+
+
+def sql_path(path: str) -> str:
+    """A dotted attribute path as Spark SQL, each segment backtick-quoted."""
+    return ".".join("`" + part.replace("`", "``") + "`" for part in path.split("."))
+
+
+def sql_lit(value) -> str:
+    """A Python constant as a Spark SQL literal of the type ``F.lit`` gives it.
+
+    A float gets the ``D`` suffix (a bare ``24.0`` is DECIMAL(3,1)); a string
+    escapes ``\\`` and ``'``, the two characters Spark's parser unescapes.
+    """
+    if value is None:
+        return "NULL"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, float):
+        return f"{value!r}D"
+    if isinstance(value, str):
+        return "'" + value.replace("\\", "\\\\").replace("'", "\\'") + "'"
+    raise TypeError(f"no Spark SQL literal for {value!r}")
+
+
+def sql_and(conds) -> str:
+    """The SQL conjunction of the conditions ``conds`` (``true`` if none)."""
+    conds = list(conds)
+    return "(" + " AND ".join(conds) + ")" if conds else "true"
 
 
 def _missing(value) -> bool:
@@ -30,7 +61,7 @@ class Scalar:
     def attrs(self) -> set[str]:
         raise NotImplementedError
 
-    def to_col(self) -> Column:
+    def to_sql(self) -> str:
         raise NotImplementedError
 
     def subst(self, mapping: dict[str, str]) -> "Scalar":
@@ -47,8 +78,8 @@ class Attr(Scalar):
     def attrs(self) -> set[str]:
         return {self.path}
 
-    def to_col(self) -> Column:
-        return F.col(self.path)
+    def to_sql(self) -> str:
+        return sql_path(self.path)
 
     def subst(self, mapping: dict[str, str]) -> "Attr":
         if self.path in mapping:
@@ -72,8 +103,8 @@ class Const(Scalar):
     def attrs(self) -> set[str]:
         return set()
 
-    def to_col(self) -> Column:
-        return F.lit(self.value)
+    def to_sql(self) -> str:
+        return sql_lit(self.value)
 
     def subst(self, mapping: dict[str, str]) -> "Const":
         return self
@@ -93,9 +124,8 @@ class Arith(Scalar):
     def attrs(self) -> set[str]:
         return self.left.attrs() | self.right.attrs()
 
-    def to_col(self) -> Column:
-        l, r = self.left.to_col(), self.right.to_col()
-        return {"+": l + r, "-": l - r, "*": l * r, "/": l / r}[self.op]
+    def to_sql(self) -> str:
+        return f"({self.left.to_sql()} {self.op} {self.right.to_sql()})"
 
     def subst(self, mapping: dict[str, str]) -> "Arith":
         return Arith(self.op, self.left.subst(mapping), self.right.subst(mapping))
@@ -110,7 +140,7 @@ class Pred:
     def attrs(self) -> set[str]:
         raise NotImplementedError
 
-    def to_col(self) -> Column:
+    def to_sql(self) -> str:
         raise NotImplementedError
 
     def subst(self, mapping: dict[str, str]) -> "Pred":
@@ -128,8 +158,8 @@ class TruePred(Pred):
     def attrs(self) -> set[str]:
         return set()
 
-    def to_col(self) -> Column:
-        return F.lit(True)
+    def to_sql(self) -> str:
+        return "true"
 
     def subst(self, mapping: dict[str, str]) -> "TruePred":
         return self
@@ -158,16 +188,8 @@ class Cmp(Pred):
     def attrs(self) -> set[str]:
         return self.left.attrs() | self.right.attrs()
 
-    def to_col(self) -> Column:
-        l, r = self.left.to_col(), self.right.to_col()
-        return {
-            "=": l == r,
-            "!=": l != r,
-            "<": l < r,
-            "<=": l <= r,
-            ">": l > r,
-            ">=": l >= r,
-        }[self.op]
+    def to_sql(self) -> str:
+        return f"({self.left.to_sql()} {self.op} {self.right.to_sql()})"
 
     def subst(self, mapping: dict[str, str]) -> "Cmp":
         return Cmp(self.left.subst(mapping), self.op, self.right.subst(mapping))
@@ -202,9 +224,9 @@ class Like(Pred):
     def attrs(self) -> set[str]:
         return self.expr.attrs()
 
-    def to_col(self) -> Column:
-        c = self.expr.to_col().like(self.pattern)
-        return ~c if self.negated else c
+    def to_sql(self) -> str:
+        neg = "NOT " if self.negated else ""
+        return f"({self.expr.to_sql()} {neg}LIKE {sql_lit(self.pattern)})"
 
     def subst(self, mapping: dict[str, str]) -> "Like":
         return Like(self.expr.subst(mapping), self.pattern, self.negated)
@@ -235,11 +257,8 @@ class And(Pred):
     def attrs(self) -> set[str]:
         return set().union(*(p.attrs() for p in self.preds)) if self.preds else set()
 
-    def to_col(self) -> Column:
-        col = F.lit(True)
-        for p in self.preds:
-            col = col & p.to_col()
-        return col
+    def to_sql(self) -> str:
+        return sql_and(p.to_sql() for p in self.preds)
 
     def subst(self, mapping: dict[str, str]) -> "And":
         return And(*(p.subst(mapping) for p in self.preds))
@@ -261,11 +280,8 @@ class Or(Pred):
     def attrs(self) -> set[str]:
         return set().union(*(p.attrs() for p in self.preds)) if self.preds else set()
 
-    def to_col(self) -> Column:
-        col = F.lit(False)
-        for p in self.preds:
-            col = col | p.to_col()
-        return col
+    def to_sql(self) -> str:
+        return "(" + " OR ".join(p.to_sql() for p in self.preds) + ")" if self.preds else "false"
 
     def subst(self, mapping: dict[str, str]) -> "Or":
         return Or(*(p.subst(mapping) for p in self.preds))

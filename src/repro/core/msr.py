@@ -38,11 +38,8 @@ from . import algebra as A
 from . import nip as N
 from .alternatives import SchemaAlternative, enumerate_sas
 from .backtrace import backtrace
-from .exprs import Cmp, Const, Pred
+from .exprs import Cmp, Const, Pred, sql_path
 from .tracing import Traced, trace
-
-# Largest number of relaxed operators added to an SA's changed operators.
-MAX_EXTRA_OPS = 4
 
 _NUMERIC = (
     T.IntegerType,
@@ -85,31 +82,32 @@ def collect_stats(tr: Traced, extra_cols: tuple[str, ...] = ()) -> pd.DataFrame:
     flag_cols = [tr.flags[i] for i in sorted(tr.flags)] + list(extra_cols)
     df = tr.df
     if not tr.layers:
-        grouped = df.groupBy(*flag_cols, "_c").agg(F.count(F.lit(1)).alias("_n"))
-        return grouped.toPandas()
+        return df.groupBy(*flag_cols, "_c").agg(F.expr("count(1) AS _n")).toPandas()
 
     layer0 = tr.layers[0]
     keys = list(layer0.keys)
     if not layer0.key_nip.is_trivial():
         # ``_c`` is the key constraint (DESIGN decision 2): rows failing it
         # collapse into one null-key group per mask, which never qualifies
-        keys = [F.expr(f"if(_c = 1, `{k}`, null) as `{k}`") for k in keys]
-    aggs = [F.count(F.lit(1)).alias("_n")]
+        keys = [F.expr(f"if(_c = 1, {sql_path(k)}, null) AS {sql_path(k)}")
+                for k in layer0.keys]
+    aggs = {"_n": "count(1)"}  # stats column -> SQL aggregate
     schema_types = {f.name: f.dataType for f in df.schema.fields}
     for fn, attr, out in layer0.aggs:
         if attr == "*":
             continue
-        col = F.col(attr)
-        aggs.append(F.count(col).alias(f"_cnt_{out}"))
-        if isinstance(schema_types.get(attr), _NUMERIC):
-            aggs += [
-                F.sum(col).alias(f"_sum_{out}"),
-                F.sum(F.greatest(col, F.lit(0))).alias(f"_pos_{out}"),
-                F.sum(F.least(col, F.lit(0))).alias(f"_neg_{out}"),
-                F.min(col).alias(f"_min_{out}"),
-                F.max(col).alias(f"_max_{out}"),
-            ]
-    grouped = df.groupBy(*keys, *flag_cols, "_c").agg(*aggs)
+        x = sql_path(attr)
+        aggs[f"_cnt_{out}"] = f"count({x})"
+        if fn == "count" or not isinstance(schema_types.get(attr), _NUMERIC):
+            continue  # only what ``_agg_interval`` reads for ``fn``
+        aggs[f"_min_{out}"], aggs[f"_max_{out}"] = f"min({x})", f"max({x})"
+        if fn in ("avg", "sum"):
+            aggs[f"_sum_{out}"] = f"sum({x})"
+        if fn == "sum":
+            aggs[f"_pos_{out}"] = f"sum(greatest({x}, 0))"
+            aggs[f"_neg_{out}"] = f"sum(least({x}, 0))"
+    grouped = df.groupBy(*keys, *flag_cols, "_c").agg(
+        *(F.expr(f"{e} AS {sql_path(col)}") for col, e in aggs.items()))
     return grouped.toPandas()
 
 
@@ -165,10 +163,11 @@ def _agg_interval(fn: str, g: dict[str, np.ndarray], out: str, subset_ok: bool):
     if fn == "count":
         lo = np.where(n > cnt, 0.0, np.minimum(1.0, cnt)) if subset_ok else cnt
         return np.where(n > 0, lo, nan), np.where(n > 0, cnt, nan)
-    if f"_sum_{out}" not in g:
+    if f"_min_{out}" not in g:
         return nan, nan  # non-numeric attr: only count supported
-    s, mn, mx = g[f"_sum_{out}"], g[f"_min_{out}"], g[f"_max_{out}"]
+    mn, mx = g[f"_min_{out}"], g[f"_max_{out}"]
     if fn == "sum":
+        s = g[f"_sum_{out}"]
         if subset_ok:
             pos, neg = g[f"_pos_{out}"], g[f"_neg_{out}"]
             lo = np.minimum(np.where(neg < 0, neg, np.minimum(mn, pos)), s)
@@ -179,7 +178,7 @@ def _agg_interval(fn: str, g: dict[str, np.ndarray], out: str, subset_ok: bool):
         if subset_ok:
             lo, hi = mn, mx
         else:
-            lo = hi = np.divide(s, cnt, out=nan.copy(), where=cnt > 0)
+            lo = hi = np.divide(g[f"_sum_{out}"], cnt, out=nan.copy(), where=cnt > 0)
     elif fn == "min":
         lo, hi = mn, (mx if subset_ok else mn)
     elif fn == "max":
@@ -396,8 +395,7 @@ def approximate_msrs(
             op_id for layer in tr.layers for op_id, _ in layer.post_filters
         ]
         relaxable = [o for o in relaxable if o not in sa.changed_ops]
-        max_k = min(len(relaxable), MAX_EXTRA_OPS)
-        for k in range(0, max_k + 1):
+        for k in range(len(relaxable) + 1):
             for combo in itertools.combinations(relaxable, k):
                 E = frozenset(combo) | sa.changed_ops
                 if not E:

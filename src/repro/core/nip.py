@@ -6,9 +6,9 @@ match themselves, and (our extension, needed by the TPC-H why-not tuples such
 as ``⟨avgDisc : > 0.45⟩``) value predicates match any value satisfying them.
 
 Two implementations of Definition 4:
-- :func:`to_spark_pred` — compile a tuple-typed NIP into a Spark boolean
-  ``Column``: the ``consistent`` annotation ``_c`` of data tracing, the one
-  match the explanation search reads. Bags compile to ``F.exists`` (one
+- :func:`to_spark_pred` — compile a tuple-typed NIP into a Spark SQL
+  condition: the ``consistent`` annotation ``_c`` of data tracing, the one
+  match the explanation search reads. Bags compile to ``exists`` (one
   existential per explicit element, without multiplicities); a value
   predicate that cannot be compiled raises rather than match everything.
 - :func:`matches` — the full matcher on collected Python data, including the
@@ -19,10 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from pyspark.sql import Column
-from pyspark.sql import functions as F
-
-from .exprs import Cmp, Const, Pred
+from .exprs import Cmp, Const, Pred, sql_and, sql_lit, sql_path
 
 
 class Nip:
@@ -128,13 +125,8 @@ class Bag(Nip):
 
 def _as_plain(value):
     """Normalize Spark Row / dict / list values into plain python structures."""
-    try:  # pyspark Row
-        from pyspark.sql import Row
-
-        if isinstance(value, Row):
-            return {k: _as_plain(v) for k, v in value.asDict().items()}
-    except ImportError:  # pragma: no cover
-        pass
+    if hasattr(value, "asDict"):  # a Spark Row (a tuple subclass)
+        return {k: _as_plain(v) for k, v in value.asDict().items()}
     if isinstance(value, dict):
         return {k: _as_plain(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -189,70 +181,49 @@ def _match_bag(items: list, elems: list[Nip], star: bool) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Spark predicate compilation (for `consistent` annotations)
+# Spark SQL compilation (for `consistent` annotations)
 # ---------------------------------------------------------------------------
 
 
-def _elem_matcher(elem: Nip):
-    """One-parameter callable for ``F.exists`` (Spark inspects the arity)."""
-
-    def f(x: Column) -> Column:
-        return _pred_on_col(x, elem)
-
-    return f
-
-
-def _pred_on_col(col: Column, nip: Nip) -> Column:
+def _sql_match(expr: str, nip: Nip, depth: int) -> str:
+    """SQL condition that the value of SQL expression ``expr`` matches
+    ``nip``; ``depth`` numbers the lambda variables of nested bags."""
     if isinstance(nip, Wild):
-        return F.lit(True)
+        return "true"
     if isinstance(nip, Val):
-        return col == F.lit(nip.value)
+        return f"({expr} = {sql_lit(nip.value)})"
     if isinstance(nip, ValPred):
         # Only comparisons against constants are compilable here.
         p = nip.pred
         if isinstance(p, Cmp) and isinstance(p.right, Const):
-            r = F.lit(p.right.value)
-            return {
-                "=": col == r,
-                "!=": col != r,
-                "<": col < r,
-                "<=": col <= r,
-                ">": col > r,
-                ">=": col >= r,
-            }[p.op]
+            return f"({expr} {p.op} {p.right.to_sql()})"
         raise NotImplementedError(f"value predicate {p!r} does not compile to Spark")
     if isinstance(nip, Tup):
-        out = F.lit(True)
-        for name, child in nip.fields:
-            out = out & _pred_on_col(col.getField(name), child)
-        return out
+        return sql_and(_sql_match(f"{expr}.{sql_path(name)}", child, depth)
+                       for name, child in nip.fields if not child.is_trivial())
     if isinstance(nip, Bag):
-        out = F.lit(True)
-        for elem in nip.elems:
-            if isinstance(elem, Wild):
-                cond = F.size(col) >= 1
-            else:
-                cond = F.exists(col, _elem_matcher(elem))
-            out = out & F.coalesce(cond, F.lit(False))
+        x = f"_x{depth}"
+        conds = [
+            f"coalesce(size({expr}) >= 1, false)" if isinstance(elem, Wild)
+            else f"coalesce(exists({expr}, {x} -> {_sql_match(x, elem, depth + 1)}), false)"
+            for elem in nip.elems
+        ]
         if not nip.elems and not nip.star:
-            out = out & (F.coalesce(F.size(col), F.lit(0)) == 0)
-        return out
+            conds.append(f"(coalesce(size({expr}), 0) = 0)")
+        return sql_and(conds)
     raise TypeError(f"unknown NIP node {nip!r}")
 
 
-def to_spark_pred(nip: Tup) -> Column:
-    """Compile a tuple NIP over a DataFrame's top-level schema into a Column.
+def to_spark_pred(nip: Tup) -> str:
+    """Compile a tuple NIP over a DataFrame's top-level schema into a Spark
+    SQL condition (for ``DataFrame.filter`` or ``selectExpr``).
 
     Null top-level values fail non-trivial constraints (``coalesce`` to
-    False), so outer-join/outer-flatten padding is handled naturally.
+    false), so outer-join/outer-flatten padding is handled naturally.
     """
     assert isinstance(nip, Tup), "top-level why-not NIPs are tuple-typed"
-    out = F.lit(True)
-    for name, child in nip.fields:
-        if child.is_trivial():
-            continue
-        out = out & F.coalesce(_pred_on_col(F.col(name), child), F.lit(False))
-    return out
+    return sql_and(f"coalesce({_sql_match(sql_path(name), child, 0)}, false)"
+                   for name, child in nip.fields if not child.is_trivial())
 
 
 def tup(**fields) -> Tup:

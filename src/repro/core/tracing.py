@@ -29,12 +29,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
 
 from . import algebra as A
 from .alternatives import SchemaAlternative
 from .backtrace import Backtrace
-from .exprs import Pred
+from .exprs import Pred, sql_path
 from .nip import Nip, Tup, to_spark_pred
 
 
@@ -78,11 +77,16 @@ class _Sub:
         return replace(self, df=df)
 
 
-def _flag(sub: _Sub, op: A.Op, cond) -> _Sub:
+def _int_flag(cond: str, name: str) -> str:
+    """A 0/1 annotation column: SQL condition ``cond``, null counted as 0."""
+    return f"CAST(coalesce({cond}, false) AS INT) AS {sql_path(name)}"
+
+
+def _flag(sub: _Sub, op: A.Op, cond: str) -> _Sub:
     name = f"_f{op.op_id}"
     return replace(
         sub,
-        df=sub.df.withColumn(name, F.coalesce(cond, F.lit(False)).cast("int")),
+        df=sub.df.selectExpr("*", _int_flag(cond, name)),
         flags=sub.flags + ((op.op_id, name),),
         anno_cols=sub.anno_cols + (name,),
     )
@@ -121,9 +125,7 @@ class _Builder:
             cut_nip = self.bt.level_nips[self.cut_op_child.op_id]
         else:
             cut_nip = self.bt.level_nips[op.op_id]
-        return sub.on(sub.df.withColumn(
-            "_c", F.coalesce(to_spark_pred(cut_nip), F.lit(False)).cast("int")
-        ))
+        return sub.on(sub.df.selectExpr("*", _int_flag(to_spark_pred(cut_nip), "_c")))
 
     def _build(self, op: A.Op) -> _Sub:
         if self.cut_op_child is not None:
@@ -143,7 +145,7 @@ class _Builder:
             if tnip.is_trivial():
                 return _Sub(df, tables=(op.table,))
             col = f"_k_{op.table}"
-            df = df.withColumn(col, F.coalesce(to_spark_pred(tnip), F.lit(False)).cast("int"))
+            df = df.selectExpr("*", _int_flag(to_spark_pred(tnip), col))
             return _Sub(df, tables=(op.table,), compat=((op.table, col),), anno_cols=(col,))
 
         if isinstance(op, A.Select):
@@ -151,7 +153,7 @@ class _Builder:
             if self.layers:  # post-aggregation selection → virtual flag
                 self.layers[-1].post_filters.append((op.op_id, op.theta))
                 return sub
-            sub = _flag(sub, op, op.theta.to_col())
+            sub = _flag(sub, op, op.theta.to_sql())
             return replace(sub, sel_ops=sub.sel_ops | {op.op_id})
 
         if isinstance(op, A.Project):
@@ -159,8 +161,8 @@ class _Builder:
             if self.layers or self.cut_op_child is not None:
                 return sub  # post-layer projections only rename for display
             # every annotation of the subtree is a column of its frame
-            items = [e.to_col().alias(o) for o, e in op.items]
-            return sub.on(sub.df.select(*items, *sub.anno_cols))
+            items = A.project_sql(op.items)
+            return sub.on(sub.df.selectExpr(*items, *map(sql_path, sub.anno_cols)))
 
         if isinstance(op, A.Rename):
             sub = self._build(op.child)
@@ -174,8 +176,8 @@ class _Builder:
         if isinstance(op, A.FlattenRel):
             sub = self._build(op.child)
             if not op.outer:
-                exists = (F.col(op.attr).isNotNull()) & (F.size(op.attr) > 0)
-                sub = _flag(sub, op, exists)
+                arr = sql_path(op.attr)
+                sub = _flag(sub, op, f"({arr} IS NOT NULL AND size({arr}) > 0)")
             return sub.on(A.explode_promote(sub.df, op.attr, outer=True))
 
         if isinstance(op, A.FlattenTup):
@@ -185,15 +187,14 @@ class _Builder:
         if isinstance(op, A.Join):
             l, r = self._build(op.left), self._build(op.right)
             lm, rm = f"_m{op.op_id}l", f"_m{op.op_id}r"
-            ldf = l.df.withColumn(lm, F.lit(1))
-            rdf = r.df.withColumn(rm, F.lit(1))
+            ldf = l.df.selectExpr("*", f"1 AS {lm}")
+            rdf = r.df.selectExpr("*", f"1 AS {rm}")
             df = ldf.join(rdf, on=A.equi_on(ldf, rdf, op.cond), how="full_outer")
-            matched = F.col(lm).isNotNull() & F.col(rm).isNotNull()
             cond = {
-                "inner": matched,
-                "left": F.col(lm).isNotNull(),
-                "right": F.col(rm).isNotNull(),
-                "full": F.lit(True),
+                "inner": f"({lm} IS NOT NULL AND {rm} IS NOT NULL)",
+                "left": f"({lm} IS NOT NULL)",
+                "right": f"({rm} IS NOT NULL)",
+                "full": "true",
             }[op.kind]
             both = _Sub(
                 df,

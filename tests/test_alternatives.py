@@ -1,11 +1,14 @@
 """Schema alternative enumeration and pruning (§5.2, Figure 3, Examples 13–15)."""
+from dataclasses import dataclass
+
 import pytest
+from pyspark.errors import ParseException
 
 from repro.core import algebra as A
 from repro.core import alternatives
 from repro.core import nip as N
 from repro.core.alternatives import _derive_op_level_name, enumerate_sas
-from repro.core.exprs import cmp
+from repro.core.exprs import Pred, cmp, sql_path
 from repro.workloads import running_example as RE
 
 
@@ -170,6 +173,31 @@ class TestPruning:
         monkeypatch.setattr(alternatives, "backtrace", backtrace)
         with pytest.raises(RuntimeError, match="backtrace failed"):
             enumerate_sas(q, N.tup(out=2), A.SchemaCache({"t": df}), {"x": ["y"]})
+
+
+    def test_malformed_sql_is_raised(self, spark):
+        """Spark's ``ParseException`` is an ``AnalysisException``: SQL text
+        that does not parse is a compiler bug and must not prune the SA."""
+
+        @dataclass(frozen=True)
+        class NotNull(Pred):
+            path: str
+
+            def attrs(self):
+                return {self.path}
+
+            def subst(self, mapping):
+                return NotNull(mapping.get(self.path, self.path))
+
+            def to_sql(self):  # well-formed for `x` only
+                return f"({sql_path(self.path)} IS NOT NULL" + (")" if self.path == "x" else "")
+
+        df = spark.createDataFrame([(1, 2)], "x int, y int")
+        q = A.Select(A.TableAccess("t"), NotNull("x"))
+        cache = A.SchemaCache({"t": df})
+        assert len(enumerate_sas(q, N.tup(x=1), cache, {})) == 1
+        with pytest.raises(ParseException):
+            enumerate_sas(q, N.tup(x=1), cache, {"x": ["y"]})
 
 
 class TestDeriveName:

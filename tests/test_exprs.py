@@ -1,4 +1,4 @@
-"""Expression AST: attrs, substitution, python evaluation, Spark compilation."""
+"""Expression AST: attrs, substitution, python evaluation, Spark SQL compilation."""
 import numpy as np
 import pytest
 
@@ -14,6 +14,8 @@ from repro.core.exprs import (
     a,
     c,
     cmp,
+    sql_lit,
+    sql_path,
 )
 
 
@@ -102,26 +104,68 @@ class TestHolds:
 class TestSparkCompilation:
     def test_cmp_compiles(self, spark):
         df = spark.createDataFrame([(1,), (5,)], "x int")
-        assert df.filter(cmp("x", ">", 3).to_col()).count() == 1
+        assert df.filter(cmp("x", ">", 3).to_sql()).count() == 1
 
     def test_arith_compiles(self, spark):
         df = spark.createDataFrame([(10.0, 0.1)], "p double, d double")
         e = Arith("*", a("p"), Arith("-", Const(1.0), a("d")))
-        row = df.select(e.to_col().alias("v")).collect()[0]
+        row = df.selectExpr(f"{e.to_sql()} AS v").collect()[0]
         assert row["v"] == pytest.approx(9.0)
 
     def test_nested_attr_compiles(self, spark):
         df = spark.createDataFrame([((1,),)], "s struct<x:int>")
-        assert df.filter(cmp("s.x", "=", 1).to_col()).count() == 1
+        assert df.filter(cmp("s.x", "=", 1).to_sql()).count() == 1
 
     def test_like_compiles(self, spark):
         df = spark.createDataFrame([("hello BTS",), ("bye",)], "t string")
-        assert df.filter(Like(a("t"), "%BTS%").to_col()).count() == 1
+        assert df.filter(Like(a("t"), "%BTS%").to_sql()).count() == 1
 
     def test_true_compiles(self, spark):
         df = spark.createDataFrame([(1,)], "x int")
-        assert df.filter(TRUE.to_col()).count() == 1
+        assert df.filter(TRUE.to_sql()).count() == 1
 
     def test_repr_roundtrip_strings(self):
         assert "year >= 2019" in repr(cmp("year", ">=", 2019))
         assert "∧" in repr(And(cmp("a", ">", 1), cmp("b", "<", 2)))
+
+
+class TestSqlText:
+    """``sql_lit`` gives a constant the type ``F.lit`` would; ``sql_path``
+    quotes every path segment. Checked against Spark's own analysis."""
+
+    @pytest.mark.parametrize("value, type_name", [
+        (24.0, "double"), (0.05, "double"), (1e-05, "double"), (-2.5e16, "double"),
+        (7, "int"), (3_000_000_000, "bigint"), (True, "boolean"), (False, "boolean"),
+        ("x", "string"),
+    ])
+    def test_literal_type(self, spark, value, type_name):
+        df = spark.range(1).selectExpr(f"{sql_lit(value)} AS v")
+        assert df.schema["v"].dataType.simpleString() == type_name
+        assert df.collect()[0]["v"] == value
+
+    def test_bare_decimal_is_not_double(self, spark):
+        """Why floats carry the ``D`` suffix."""
+        df = spark.range(1).selectExpr("24.0 AS v")
+        assert df.schema["v"].dataType.simpleString() == "decimal(3,1)"
+
+    @pytest.mark.parametrize("text", [
+        "it's", "back\\slash", "50%_off", "\\'", "''", "\\n", "tab\there", "line\nbreak",
+        "ünï", "",
+    ])
+    def test_string_round_trips(self, spark, text):
+        assert spark.range(1).selectExpr(f"{sql_lit(text)} AS v").collect()[0]["v"] == text
+
+    def test_string_equality_with_special_characters(self, spark):
+        df = spark.createDataFrame([("it's 50%",), ("a\\b",), ("x",)], "t string")
+        assert [r.t for r in df.filter(cmp("t", "=", "it's 50%").to_sql()).collect()] == [
+            "it's 50%"]
+        assert [r.t for r in df.filter(cmp("t", "=", "a\\b").to_sql()).collect()] == ["a\\b"]
+
+    def test_path_segments_quoted(self, spark):
+        assert sql_path("s.x") == "`s`.`x`"
+        df = spark.createDataFrame([((1,), 2)], "s struct<x:int>, `select` int")
+        assert df.filter(cmp("select", "=", 2).to_sql()).count() == 1
+        assert df.filter(cmp("s.x", "=", a("select")).to_sql()).count() == 0
+
+    def test_and_or_empty(self):
+        assert And().to_sql() == "true" and Or().to_sql() == "false"

@@ -3,7 +3,10 @@ import numpy as np
 import pandas as pd
 import pytest
 
+from repro.core import algebra as A
 from repro.core import nip as N
+from repro.core.alternatives import SchemaAlternative
+from repro.core.backtrace import backtrace
 from repro.core.exprs import cmp
 from repro.core.msr import (
     _agg_interval,
@@ -11,7 +14,13 @@ from repro.core.msr import (
     _nip_interval_feasible,
     _pred_interval_feasible,
     _reduce,
+    collect_stats,
 )
+from repro.core.tracing import trace
+from repro.workloads.registry import all_scenarios
+
+
+AGG_PREFIXES = ("_cnt_", "_sum_", "_pos_", "_neg_", "_min_", "_max_")
 
 
 def rows(**cols):
@@ -81,6 +90,38 @@ class TestAggIntervals:
                  _min_s=[4.0], _max_s=[6.0])
         assert interval("min", g, "s", subset_ok=False) == (4.0, 4.0)
         assert interval("max", g, "s", subset_ok=False) == (6.0, 6.0)
+
+    def test_min_max_avg_read_only_their_columns(self):
+        """collect_stats emits ``_sum_`` for avg and sum only, and
+        ``_pos_``/``_neg_`` for sum only."""
+        g = rows(_n=[2], _cnt_s=[2], _min_s=[4.0], _max_s=[6.0])
+        assert interval("min", g, "s", subset_ok=True) == (4.0, 6.0)
+        assert interval("max", g, "s", subset_ok=False) == (6.0, 6.0)
+        g = rows(_n=[2], _cnt_s=[2], _min_s=[4.0], _max_s=[6.0], _sum_s=[10.0])
+        assert interval("avg", g, "s", subset_ok=False) == (5.0, 5.0)
+
+    def test_non_numeric_attr_has_no_extrema(self):
+        g = rows(_n=[2], _cnt_s=[2])
+        assert interval("min", g, "s", subset_ok=True) == (None, None)
+
+
+class TestStatsColumns:
+    """``collect_stats`` aggregates only what ``_agg_interval`` reads for
+    each aggregate function."""
+
+    @pytest.mark.parametrize("key, want", [
+        ("Q13", {"_cnt_c_count"}),  # count(o_orderkey)
+        ("Q10", {f"_{c}_revenue" for c in ("cnt", "min", "max", "sum", "pos", "neg")}),
+    ])
+    def test_aggregate_columns(self, spark, key, want):
+        scn = all_scenarios()[key]
+        db = scn.build_db(spark, 0.004)
+        query, _ = scn.build_query()
+        schemas = A.SchemaCache(db)
+        bt = backtrace(query, scn.whynot(db, query), schemas)
+        tr = trace(SchemaAlternative(1, query, frozenset(), bt, "original"), schemas, bt)
+        stats = collect_stats(tr)
+        assert {c for c in stats.columns if c.startswith(AGG_PREFIXES)} == want
 
 
 class TestPredFeasibility:

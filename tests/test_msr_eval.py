@@ -40,6 +40,15 @@ AGGS = (
     ("max", "mx", "num"),
 )
 
+# the aggregate-input columns collect_stats emits per function (numeric attr)
+READS = {
+    "count": ("cnt",),
+    "min": ("cnt", "min", "max"),
+    "max": ("cnt", "min", "max"),
+    "avg": ("cnt", "min", "max", "sum"),
+    "sum": ("cnt", "min", "max", "sum", "pos", "neg"),
+}
+
 
 # ---------------------------------------------------------------------------
 # the oracle: one row, one group at a time
@@ -68,19 +77,20 @@ def o_interval(fn, grp, out, subset_ok):
     cnt = sum(r[f"_cnt_{out}"] for r in grp)
     if fn == "count":
         return ((0 if n > cnt else min(1, cnt)) if subset_ok else cnt, cnt)
-    if f"_sum_{out}" not in grp[0] or cnt == 0:
+    if f"_min_{out}" not in grp[0] or cnt == 0:
         return None
     vals = {c: [r[f"_{c}_{out}"] for r in grp if not _missing(r[f"_{c}_{out}"])]
-            for c in ("sum", "pos", "neg", "min", "max")}
-    s, pos, neg = sum(vals["sum"]), sum(vals["pos"]), sum(vals["neg"])
+            for c in READS[fn] if c != "cnt"}
     mn, mx = min(vals["min"]), max(vals["max"])
     if fn == "sum":
+        s, pos, neg = sum(vals["sum"]), sum(vals["pos"]), sum(vals["neg"])
         if not subset_ok:
             return (s, s)
         lo = neg if neg < 0 else min(mn, pos)
         hi = pos if pos > 0 else mx
         return (min(lo, s), max(hi, s))
     if fn == "avg":
+        s = sum(vals["sum"])
         return (mn, mx) if subset_ok else (s / cnt, s / cnt)
     if fn == "min":
         return (mn, mx) if subset_ok else (mn, mn)
@@ -212,7 +222,8 @@ def random_case(seed):
             if kind == "str":
                 r[f"_cnt_{out}"] = rng.randint(0, n)
             elif kind == "num":
-                r.update({f"_{c}_{out}": v for c, v in _values(rng, n).items()})
+                vals = _values(rng, n)
+                r.update({f"_{c}_{out}": vals[c] for c in READS[fn]})
         rows.append(r)
     # the stats table carries key columns only when the layer groups by them
     cols = [*keys, *flags.values(), "_c", "_n"]
@@ -308,7 +319,7 @@ def test_cases_cover_the_edge_cases():
                     seen.add("non-numeric count")
                 if f"_sum_{out}" in stats and stats[f"_sum_{out}"].isna().any():
                     seen.add("all-null sum")
-                if f"_sum_{out}" in stats and (
+                if f"_neg_{out}" in stats and (
                         (stats[f"_neg_{out}"] < 0) & (stats[f"_pos_{out}"] > 0)).any():
                     seen.add("mixed signs")
             refs = {next(iter(p.attrs())) for _, p in layer0.post_filters}
