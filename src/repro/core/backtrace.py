@@ -13,6 +13,8 @@ output schema) into:
   by the feasibility analysis of the MSR step (``msr.py``);
 - ``resolve_source`` — maps an operator-level attribute reference to its
   ``(table, source_path)``, the paper's ``M_sbt`` associations.
+
+Both follow one per-operator attribute mapping, :func:`source_step`.
 """
 from __future__ import annotations
 
@@ -58,24 +60,12 @@ def _merge(a: Nip, b: Nip) -> Nip:
     return a  # conflicting constants: keep the first (conservative)
 
 
-def _nest_path(path: str, nip: Nip) -> Tup:
-    """Wrap ``nip`` into nested Tups along a dotted path."""
-    parts = path.split(".")
-    for p in reversed(parts[1:]):
-        nip = Tup({p: nip})
-    return Tup({parts[0]: nip})
-
-
 def _set_path(t: Tup, path: str, nip: Nip) -> Tup:
-    return _merge(t, _nest_path(path, nip))
-
-
-def _get_field(t: Tup, name: str) -> Nip:
-    return t.as_dict().get(name, WILD)
-
-
-def _drop_fields(t: Tup, names: set[str]) -> Tup:
-    return Tup({k: v for k, v in t.fields if k not in names})
+    """``t`` merged with ``nip`` wrapped into nested Tups along a dotted path."""
+    head, *rest = path.split(".")
+    for p in reversed(rest):
+        nip = Tup({p: nip})
+    return _merge(t, Tup({head: nip}))
 
 
 def backtrace(query: A.Op, whynot: Tup, schemas: A.SchemaCache) -> Backtrace:
@@ -85,113 +75,54 @@ def backtrace(query: A.Op, whynot: Tup, schemas: A.SchemaCache) -> Backtrace:
     return bt
 
 
+def source_step(op: A.Op, path: str, schemas: A.SchemaCache) -> tuple[int, str] | None:
+    """One step of ``M_sbt``: the child (index into ``op.children()``) and
+    the path in that child's output that ``op``'s output attribute ``path``
+    comes from, or ``None`` if the attribute is computed."""
+    head, _, tail = path.partition(".")
+    rest = "." + tail if tail else ""
+    if isinstance(op, (A.Select, A.Dedup, A.Union)):
+        return (0, path)  # a union resolves through its left input
+    if isinstance(op, A.Project):
+        expr = dict(op.items).get(head)
+        return (0, expr.path + rest) if isinstance(expr, Attr) else None
+    if isinstance(op, A.Rename):
+        inv = {new: old for old, new in op.mapping}
+        return (0, inv.get(head, head) + rest)
+    if isinstance(op, A.Join):
+        for i, side in enumerate(op.children()):
+            if head in schemas.columns(side):
+                return (i, path)
+        return None
+    if isinstance(op, A.FlattenRel):
+        elem = schemas.field_type(op.child, op.attr).elementType
+        return (0, f"{op.attr}.{path}" if head in elem.fieldNames() else path)
+    if isinstance(op, A.FlattenTup):
+        fields = schemas.field_type(op.child, op.attr).fieldNames()
+        return (0, f"{op.attr}.{path}" if head in fields else path)
+    if isinstance(op, (A.NestTup, A.NestRel)):
+        if head == op.out:
+            return (0, tail) if tail else None
+        return (0, path)
+    if isinstance(op, A.GroupAgg):
+        agg_in = {o: a for _, a, o in op.aggs}
+        if head in agg_in:
+            src = agg_in[head]
+            if src == "*" or not isinstance(src, str):
+                return None  # count(*) or expression aggregate
+            return (0, src + rest)
+        key_in = dict(zip(op.key_out, op.keys))
+        return (0, key_in.get(head, head) + rest)
+    if isinstance(op, A.AggPerTuple):
+        return (0, op.attr if head == op.out else path)
+    raise TypeError(f"backtrace: no source step for {op!r}")
+
+
 def _walk(op: A.Op, nip: Tup, schemas: A.SchemaCache, bt: Backtrace) -> None:
     bt.level_nips[op.op_id] = nip
 
     if isinstance(op, A.TableAccess):
-        prev = bt.table_nips.get(op.table, Tup({}))
-        bt.table_nips[op.table] = _merge(prev, nip)
-        return
-
-    if isinstance(op, (A.Select, A.Dedup)):
-        _walk(op.children()[0], nip, schemas, bt)
-        return
-
-    if isinstance(op, A.Project):
-        child = op.child
-        out = Tup({})
-        for out_name, expr in op.items:
-            f = _get_field(nip, out_name)
-            if f.is_trivial():
-                continue
-            if isinstance(expr, Attr):
-                out = _set_path(out, expr.path, f)
-            else:  # computed column — defer the value predicate
-                bt.deferred.append(Deferred(op.op_id, out_name, f))
-        _walk(child, out, schemas, bt)
-        return
-
-    if isinstance(op, A.Rename):
-        inv = {new: old for old, new in op.mapping}
-        out = Tup({inv.get(k, k): v for k, v in nip.fields})
-        _walk(op.child, out, schemas, bt)
-        return
-
-    if isinstance(op, A.Join):
-        lcols = set(schemas.columns(op.left))
-        rcols = set(schemas.columns(op.right))
-        lnip = Tup({k: v for k, v in nip.fields if k in lcols})
-        rnip = Tup({k: v for k, v in nip.fields if k in rcols and k not in lcols})
-        _walk(op.left, lnip, schemas, bt)
-        _walk(op.right, rnip, schemas, bt)
-        return
-
-    if isinstance(op, A.FlattenRel):
-        elem_fields = [f.name for f in schemas.field_type(op.child, op.attr).elementType.fields]
-        elem_constraints = {
-            k: v for k, v in nip.fields if k in elem_fields and not v.is_trivial()
-        }
-        rest = Tup({k: v for k, v in nip.fields if k not in elem_fields})
-        if elem_constraints:
-            rest = _set_path(rest, op.attr, Bag([Tup(elem_constraints)], star=True))
-        _walk(op.child, rest, schemas, bt)
-        return
-
-    if isinstance(op, A.FlattenTup):
-        tfields = [f.name for f in schemas.field_type(op.child, op.attr).fields]
-        inner = {k: v for k, v in nip.fields if k in tfields and not v.is_trivial()}
-        rest = Tup({k: v for k, v in nip.fields if k not in tfields})
-        if inner:
-            rest = _set_path(rest, op.attr, Tup(inner))
-        _walk(op.child, rest, schemas, bt)
-        return
-
-    if isinstance(op, A.NestTup):
-        f = _get_field(nip, op.out)
-        rest = _drop_fields(nip, {op.out})
-        if isinstance(f, Tup):
-            rest = _merge(rest, f)
-        _walk(op.child, rest, schemas, bt)
-        return
-
-    if isinstance(op, A.NestRel):
-        f = _get_field(nip, op.out)
-        rest = _drop_fields(nip, {op.out})
-        if isinstance(f, Bag):
-            # Constraints of the explicit element patterns must be witnessed by
-            # at least one input tuple each; we take their merged constraints
-            # (single-pattern case in all scenarios — documented simplification).
-            for elem in f.elems:
-                if isinstance(elem, Tup) and not elem.is_trivial():
-                    rest = _merge(rest, elem)
-                    break
-        _walk(op.child, rest, schemas, bt)
-        return
-
-    if isinstance(op, A.GroupAgg):
-        out = Tup({})
-        agg_outs = {o for _, _, o in op.aggs}
-        key_in = dict(zip(op.key_out, op.keys))
-        for k, v in nip.fields:
-            if v.is_trivial():
-                continue
-            if k in agg_outs:
-                bt.deferred.append(Deferred(op.op_id, k, v))
-            elif k in key_in:
-                out = _set_path(out, key_in[k], v)
-        _walk(op.child, out, schemas, bt)
-        return
-
-    if isinstance(op, A.AggPerTuple):
-        out = Tup({})
-        for k, v in nip.fields:
-            if v.is_trivial():
-                continue
-            if k == op.out:
-                bt.deferred.append(Deferred(op.op_id, k, v))
-            else:
-                out = _set_path(out, k, v)
-        _walk(op.child, out, schemas, bt)
+        bt.table_nips[op.table] = _merge(bt.table_nip(op.table), nip)
         return
 
     if isinstance(op, A.Union):
@@ -199,71 +130,56 @@ def _walk(op: A.Op, nip: Tup, schemas: A.SchemaCache, bt: Backtrace) -> None:
         _walk(op.right, nip, schemas, bt)
         return
 
-    raise TypeError(f"backtrace: unknown operator {op!r}")
+    if isinstance(op, (A.NestTup, A.NestRel)):
+        # unfold ``out``: a tuple's fields, or for a bag the constraints of
+        # its first constrained element pattern, which an input tuple must
+        # witness (single-pattern case in all scenarios — documented
+        # simplification)
+        f = nip.as_dict().get(op.out, WILD)
+        if isinstance(f, Bag):
+            f = next((e for e in f.elems if isinstance(e, Tup) and not e.is_trivial()), WILD)
+        rest = Tup({k: v for k, v in nip.fields if k != op.out})
+        _walk(op.child, _merge(rest, f), schemas, bt)
+        return
+
+    # every other operator: each constrained field goes to the child
+    # attribute ``source_step`` names; aggregate outputs and computed
+    # columns are deferred to the MSR step
+    if isinstance(op, A.GroupAgg):
+        aggregated = {o for _, _, o in op.aggs}
+    elif isinstance(op, A.AggPerTuple):
+        aggregated = {op.out}
+    else:
+        aggregated = set()
+    outs = [Tup({}) for _ in op.children()]
+    elem = {}  # relation flatten: constraints on one element of ``attr``
+    for k, v in nip.fields:
+        if v.is_trivial():
+            continue
+        step = None if k in aggregated else source_step(op, k, schemas)
+        if step is None:
+            bt.deferred.append(Deferred(op.op_id, k, v))
+        elif isinstance(op, A.FlattenRel) and step[1] != k:
+            elem[k] = v
+        else:
+            outs[step[0]] = _set_path(outs[step[0]], step[1], v)
+    if elem:
+        outs[0] = _set_path(outs[0], op.attr, Bag([Tup(elem)], star=True))
+    for child, out in zip(op.children(), outs):
+        _walk(child, out, schemas, bt)
 
 
 def resolve_source(op: A.Op, path: str, schemas: A.SchemaCache) -> tuple[str, str] | None:
     """Resolve an operator-level attribute path to ``(table, source_path)``.
 
-    Returns ``None`` when the attribute is computed (no single source). This
-    realizes the ``M_sbt`` associations of §5.1 used by schema alternatives.
+    Follows :func:`source_step` down to a table access, which resolves only
+    a path whose top-level column it has. Returns ``None`` when the attribute
+    is computed (no single source). This realizes the ``M_sbt``
+    associations of §5.1 used by schema alternatives.
     """
-    head = path.split(".")[0]
-    rest = path[len(head):]  # includes leading "." or empty
-
-    if isinstance(op, A.TableAccess):
-        return (op.table, path)
-    if isinstance(op, (A.Select, A.Dedup)):
-        return resolve_source(op.children()[0], path, schemas)
-    if isinstance(op, A.Project):
-        for out, expr in op.items:
-            if out == head:
-                if hasattr(expr, "path"):
-                    return resolve_source(op.child, expr.path + rest, schemas)
-                return None
-        return None
-    if isinstance(op, A.Rename):
-        inv = {new: old for old, new in op.mapping}
-        return resolve_source(op.child, inv.get(head, head) + rest, schemas)
-    if isinstance(op, A.Join):
-        if head in schemas.columns(op.left):
-            return resolve_source(op.left, path, schemas)
-        if head in schemas.columns(op.right):
-            return resolve_source(op.right, path, schemas)
-        return None
-    if isinstance(op, A.FlattenRel):
-        elem_fields = [f.name for f in schemas.field_type(op.child, op.attr).elementType.fields]
-        if head in elem_fields:
-            return resolve_source(op.child, f"{op.attr}.{path}", schemas)
-        return resolve_source(op.child, path, schemas)
-    if isinstance(op, A.FlattenTup):
-        tfields = [f.name for f in schemas.field_type(op.child, op.attr).fields]
-        if head in tfields:
-            return resolve_source(op.child, f"{op.attr}.{path}", schemas)
-        return resolve_source(op.child, path, schemas)
-    if isinstance(op, A.NestTup):
-        if head == op.out:
-            return resolve_source(op.child, path[len(head) + 1:], schemas) if rest else None
-        return resolve_source(op.child, path, schemas)
-    if isinstance(op, A.NestRel):
-        if head == op.out:
-            return resolve_source(op.child, path[len(head) + 1:], schemas) if rest else None
-        return resolve_source(op.child, path, schemas)
-    if isinstance(op, A.GroupAgg):
-        agg_in = {o: a for _, a, o in op.aggs}
-        if head in agg_in:
-            src = agg_in[head]
-            if src == "*" or not isinstance(src, str):
-                return None  # count(*) or expression aggregate
-            return resolve_source(op.child, src + rest, schemas)
-        key_in = dict(zip(op.key_out, op.keys))
-        if head in key_in:
-            return resolve_source(op.child, key_in[head] + rest, schemas)
-        return resolve_source(op.child, path, schemas)
-    if isinstance(op, A.AggPerTuple):
-        if head == op.out:
-            return resolve_source(op.child, op.attr, schemas)
-        return resolve_source(op.child, path, schemas)
-    if isinstance(op, A.Union):
-        return resolve_source(op.left, path, schemas)
-    raise TypeError(f"resolve: unknown operator {op!r}")
+    while not isinstance(op, A.TableAccess):
+        step = source_step(op, path, schemas)
+        if step is None:
+            return None
+        op, path = op.children()[step[0]], step[1]
+    return (op.table, path) if path.split(".")[0] in schemas.columns(op) else None

@@ -258,6 +258,19 @@ class CandidateEval:
             table: stats[col].to_numpy(dtype=float, na_value=np.nan) == 1
             for table, col in tr.compat_tables.items() if col in stats
         }
+        if len(tr.layers) > 2:
+            raise NotImplementedError(f"{len(tr.layers)} stacked aggregation layers")
+        if len(tr.layers) == 2:
+            # a stacked layer is checked against [1, #qualifying groups] below
+            # (``success``): only counts, post-selected on a count, fit that
+            layer1 = tr.layers[1]
+            counts = {out for fn, _, out in layer1.aggs if fn == "count"}
+            if len(counts) < len(layer1.aggs) or any(
+                    len(pred.attrs()) != 1 or not pred.attrs() <= counts
+                    for _, pred in layer1.post_filters):
+                raise NotImplementedError(
+                    f"stacked layer γ{layer1.op_id}: only count aggregates, "
+                    "post-selected on a count, are supported")
         if tr.layers:
             self._init_groups(stats, tr.layers[0])
 
@@ -277,13 +290,17 @@ class CandidateEval:
         outs = {out for _, _, out in layer0.aggs}
         self.post = []
         for op_id, pred in layer0.post_filters:
-            attrs = list(pred.attrs())
-            ref = attrs[0] if attrs else None
+            attrs = pred.attrs()
+            ref = next(iter(attrs)) if len(attrs) == 1 else None
             if ref in outs:
                 self.post.append((op_id, pred, ref, None))
             elif ref in keys:
                 held = np.array([bool(pred.holds(kd[ref])) for kd in kds], dtype=bool)
                 self.post.append((op_id, pred, None, held))
+            else:
+                raise NotImplementedError(
+                    f"post-aggregation selection σ{op_id} [{pred}] reads neither "
+                    "one group key nor one aggregate output")
 
     def _bits(self, E: frozenset[int]) -> int:
         return sum(self.bit.get(op_id, 0) for op_id in E)

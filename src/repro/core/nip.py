@@ -14,6 +14,12 @@ Two implementations of Definition 4:
 - :func:`matches` — the full matcher on collected Python data, including the
   bag multiplicity assignment (condition 4), via backtracking; the tests'
   oracle for the compiled predicate.
+
+Both read nulls the same way: a trivial NIP (pure ``?`` structure, such as
+``?``, ``{{*}}`` or ``⟨x: ?⟩``) matches any value, null included, and a null
+nested relation reads as the empty bag, so ``{{}}`` matches it and
+``{{?, *}}`` does not. ``AggPerTuple``'s count reads a null relation as empty
+too.
 """
 from __future__ import annotations
 
@@ -143,7 +149,7 @@ def matches(instance, nip: Nip) -> bool:
     element must be used exactly once.
     """
     instance = _as_plain(instance)
-    if isinstance(nip, Wild):
+    if nip.is_trivial():
         return True
     if isinstance(nip, Val):
         return instance == nip.value
@@ -154,7 +160,9 @@ def matches(instance, nip: Nip) -> bool:
             return False
         return all(matches(instance.get(k), v) for k, v in nip.fields)
     if isinstance(nip, Bag):
-        if instance is None or not isinstance(instance, list):
+        if instance is None:
+            instance = []  # a null nested relation reads as the empty bag
+        if not isinstance(instance, list):
             return False
         return _match_bag(instance, list(nip.elems), nip.star)
     raise TypeError(f"unknown NIP node {nip!r}")

@@ -130,6 +130,18 @@ class TestPruning:
         assert len(sas) <= 3
 
 
+    def test_join_key_resolves_against_its_own_side(self, spark):
+        """A table access resolves only its own columns: the right key of
+        ``c ⋈ F^I(o, items)`` comes from ``o.items.ik``, not from ``c``."""
+        c = spark.createDataFrame([(1,)], "ck int")
+        o = spark.createDataFrame([([(1, 2)],)], "items array<struct<ik:int, x:int>>")
+        q = A.Join(A.TableAccess("c"), A.FlattenRel(A.TableAccess("o"), "items"),
+                   [("ck", "ik")])
+        sas = enumerate_sas(q, N.Tup({}), A.SchemaCache({"c": c, "o": o}),
+                            {"items.ik": ["items.x"]})
+        assert [sa.desc for sa in sas] == ["original", f"op{q.op_id}:ik→x"]
+        assert sas[1].query.cond == (("ck", "x"),)
+
     @pytest.fixture(scope="class")
     def nested(self, spark):
         from pyspark.sql import types as T

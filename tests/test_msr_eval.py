@@ -20,7 +20,7 @@ import pandas as pd
 import pytest
 
 from repro.core import nip as N
-from repro.core.exprs import Cmp, Const, cmp
+from repro.core.exprs import Cmp, Const, a, cmp
 from repro.core.msr import CandidateEval
 from repro.core.tracing import Layer, Traced
 
@@ -337,3 +337,32 @@ def test_cases_cover_the_edge_cases():
         "non-numeric count", "all-null sum", "mixed signs", "key post-filter",
         "aggregate post-filter", "post-filter on a missing string key", "collapsed rows",
     }
+
+
+# ---------------------------------------------------------------------------
+# layer shapes the evaluator cannot check raise instead of passing silently
+# ---------------------------------------------------------------------------
+
+COUNT = Layer(40, ("k",), (("count", "*", "c"),), N.Tup({}))
+STACKED = Layer(41, ("c",), (("count", "*", "custdist"),), N.Tup({}))
+
+
+def _post(op_id, pred, layer=COUNT):
+    return Layer(layer.op_id, layer.keys, layer.aggs, layer.key_nip, {}, [(op_id, pred)])
+
+
+@pytest.mark.parametrize("layers", [
+    [_post(20, cmp("z", ">", 1))],  # neither a key nor an aggregate output
+    [_post(20, cmp("c", "<", a("k")))],  # a key and an aggregate output
+    [COUNT, Layer(41, ("c",), (("sum", "c", "s"),), N.Tup({}))],  # stacked sum
+    [COUNT, _post(30, cmp("c", ">", 1), STACKED)],  # stacked post on its key
+    [COUNT, STACKED, Layer(42, ("custdist",), (("count", "*", "n"),), N.Tup({}))],
+], ids=["post-unknown-attr", "post-two-attrs", "stacked-sum", "stacked-post-on-key",
+        "third-layer"])
+def test_unsupported_layers_raise(layers):
+    stats = pd.DataFrame({"k": ["a"], "_f3": [1], "_c": [1], "_n": [2]})
+    tr = Traced(df=None, flags={3: "_f3"}, sel_ops=frozenset(), layers=layers,
+                compat_tables={}, tables=())
+    with pytest.raises(NotImplementedError):
+        CandidateEval(stats, tr)
+

@@ -170,7 +170,8 @@ class TestSparkCompilation:
 # generated rows and NIPs for the compiled-vs-matcher check
 SCHEMA = (
     "id int, k int, s string, d double, "
-    "b array<struct<x:int, t:string, inner:array<struct<y:int>>>>"
+    "b array<struct<x:int, t:string, inner:array<struct<y:int>>>>, "
+    "st struct<y:int>"
 )
 STRINGS = [None, "it's", "a\\b", "50%", "x", "", "'%\\'"]
 CMP_OPS = ["=", "!=", "<", "<=", ">", ">="]
@@ -192,7 +193,8 @@ def _row(rng, i):
         return {"x": rng.choice([None, 0, 1, 2]), "t": rng.choice(STRINGS), "inner": inner}
 
     return {"id": i, "k": rng.choice([None, 0, 1, 2, 3]), "s": rng.choice(STRINGS),
-            "d": rng.choice([None, -1.5, 0.0, 0.45, 2.0]), "b": _some(rng, elem, 3)}
+            "d": rng.choice([None, -1.5, 0.0, 0.45, 2.0]), "b": _some(rng, elem, 3),
+            "st": rng.choice([None, {"y": None}, {"y": 0}, {"y": 1}])}
 
 
 def _scalar(rng, values):
@@ -208,14 +210,25 @@ def _scalar(rng, values):
 
 def _nip(rng, seen):
     """A top-level NIP whose bags all have a ``*`` and pairwise exclusive
-    explicit elements (distinct ``x`` constants), or are ``{{?, *}}``."""
+    explicit elements (distinct ``x`` constants), or a single ``?`` or
+    trivial-tuple element, or are ``{{}}`` or ``{{*}}``."""
     fields = {}
     for name, values in (("k", [0, 1, 2, 3]), ("s", STRINGS), ("d", [-1.5, 0.0, 0.45, 2.0])):
         if rng.random() < 0.4:
             fields[name] = _scalar(rng, values)
             seen.add(type(fields[name]).__name__)
-    if rng.random() < 0.14:
-        fields["b"] = N.Bag([N.WILD], star=True)
+    if rng.random() < 0.4:  # a nullable struct column, constrained or trivially
+        if rng.random() < 0.5:
+            fields["st"] = rng.choice([N.Tup({}), N.Tup({"y": N.WILD})])
+            seen.add("trivial tuple")
+        else:
+            fields["st"] = N.tup(y=rng.choice([0, 1]))
+    r = rng.random()
+    if r < 0.2:  # bags that need no element, over null and empty relations
+        fields["b"] = N.Bag([], star=r < 0.1)
+        seen.add("{{*}}" if r < 0.1 else "{{}}")
+    elif r < 0.32:  # one element of any value, null elements included
+        fields["b"] = N.Bag([rng.choice([N.WILD, N.Tup({}), N.Tup({"x": N.WILD})])], star=True)
         seen.add("{{?, *}}")
     elif rng.random() < 0.7:
         elems = []
@@ -224,7 +237,8 @@ def _nip(rng, seen):
             if rng.random() < 0.4:
                 el["t"] = _scalar(rng, STRINGS)
             if rng.random() < 0.5:
-                el["inner"] = N.Bag([rng.choice([N.WILD, N.tup(y=rng.choice([0, 1]))])], star=True)
+                el["inner"] = N.Bag([rng.choice([N.WILD, N.Tup({"y": N.WILD}),
+                                                 N.tup(y=rng.choice([0, 1]))])], star=True)
                 seen.add("bag in bag")
             elems.append(N.Tup(el))
         seen.add(f"{len(elems)}-element bag")
@@ -236,9 +250,10 @@ def test_compiled_nip_agrees_with_matcher(spark):
     """``df.filter(to_spark_pred(nip))`` keeps exactly the rows that the
     Python matcher ``matches`` accepts, on generated rows and NIPs: nulls
     at every level, strings with ``'``, ``\\`` and ``%``, value predicates,
-    ``?``, and bags inside bags. The NIPs stay in the fragment where the
-    compiled bag check, an existential per element without multiplicities
-    (module docstring), is exact."""
+    ``?``, trivial tuples over null structs and null elements, ``{{}}`` and
+    ``{{*}}`` over null and empty relations, and bags inside bags. The NIPs
+    stay in the fragment where the compiled bag check, an existential per
+    element without multiplicities (module docstring), is exact."""
     import random
 
     rng = random.Random(7)
@@ -250,5 +265,5 @@ def test_compiled_nip_agrees_with_matcher(spark):
         got = sorted(r.id for r in df.filter(N.to_spark_pred(nip)).select("id").collect())
         assert got == [r["id"] for r in rows if N.matches(r, nip)], nip
     df.unpersist()
-    assert seen == {"Val", "ValPred", "Wild", "{{?, *}}", "bag in bag",
-                    "1-element bag", "2-element bag"}
+    assert seen == {"Val", "ValPred", "Wild", "{{?, *}}", "bag in bag", "{{}}", "{{*}}",
+                    "trivial tuple", "1-element bag", "2-element bag"}
