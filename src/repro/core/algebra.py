@@ -6,8 +6,9 @@ Each operator is an AST node with a unique ``op_id`` and a printable label
 RDDs): expressions go in as Spark SQL text (``filter``/``selectExpr``), and
 the DataFrame API builds only the structure (join conditions, ``explode``,
 ``struct``/``collect_list``, ``groupBy``). ``run(op, db)`` is the recursion
-over it and ``SchemaCache`` its memo per question. The tracing module
-re-interprets the same AST with instrumented semantics.
+over it and ``SchemaCache`` its memo per question. Tracing rewrites a query
+into another NRAB query whose ``Extend`` operators add the annotation
+columns, and builds it through the same cache.
 
 Representation choices (documented in DESIGN.md):
 - a nested relation = a DataFrame whose columns may be ``array<struct<…>>``
@@ -373,6 +374,29 @@ class Dedup(Op):
 
 
 @dataclass(frozen=True)
+class Extend(Op):
+    """Append computed columns: items = [(name, Spark SQL expression)].
+
+    Tracing's annotations (retained flags, compat and consistency flags, join
+    markers, aggregate inputs) are Extends carrying the id of the operator
+    they annotate, so the expression text is part of the operator value.
+    """
+
+    child: Op
+    items: tuple[tuple[str, str], ...]
+    symbol = "ε"
+
+    def __post_init__(self):
+        object.__setattr__(self, "items", tuple(tuple(p) for p in self.items))
+
+    def children(self):
+        return (self.child,)
+
+    def __repr__(self):
+        return f"ε[{','.join(name for name, _ in self.items)}]({self.child!r})"
+
+
+@dataclass(frozen=True)
 class Rename(Op):
     child: Op
     mapping: tuple[tuple[str, str], ...]  # (old, new)
@@ -417,12 +441,7 @@ def _per_tuple_agg_sql(op: AggPerTuple) -> str:
     raise ValueError(op.fn)
 
 
-def project_sql(items) -> list[str]:
-    """π items ``(out_name, Scalar)`` as ``selectExpr`` expressions."""
-    return [f"{e.to_sql()} AS {sql_path(o)}" for o, e in items]
-
-
-def equi_on(l: DataFrame, r: DataFrame, cond):
+def _equi_on(l: DataFrame, r: DataFrame, cond):
     """The conjunctive equality condition of an equi-join."""
     on = None
     for lc, rc in cond:
@@ -431,20 +450,14 @@ def equi_on(l: DataFrame, r: DataFrame, cond):
     return on
 
 
-def rename_cols(df: DataFrame, mapping) -> DataFrame:
-    for old, new in mapping:
-        df = df.withColumnRenamed(old, new)
-    return df
-
-
-def explode_promote(df: DataFrame, attr: str, outer: bool) -> DataFrame:
+def _explode_promote(df: DataFrame, attr: str, outer: bool) -> DataFrame:
     """Relation flatten: explode ``attr`` and promote the element fields."""
     gen = "explode_outer" if outer else "explode"
     df = df.selectExpr("*", f"{gen}({sql_path(attr)}) AS __e").drop(attr)
     return df.select(*[c for c in df.columns if c != "__e"], "__e.*")
 
 
-def flatten_tuple(df: DataFrame, attr: str) -> DataFrame:
+def _flatten_tuple(df: DataFrame, attr: str) -> DataFrame:
     """Tuple flatten: promote the fields of struct ``attr``."""
     inner = type_at(df.schema, attr).fieldNames()
     promoted = [f"{sql_path(attr)}.{sql_path(f)} AS {sql_path(f)}" for f in inner]
@@ -453,20 +466,16 @@ def flatten_tuple(df: DataFrame, attr: str) -> DataFrame:
     return df.selectExpr(*[sql_path(c) for c in df.columns if c != attr], *promoted)
 
 
-def nest_tuple(df: DataFrame, attrs_in, out: str) -> DataFrame:
-    rest = [c for c in df.columns if c not in attrs_in]
-    return df.select(*rest, F.struct(*attrs_in).alias(out))
+def _extend(df: DataFrame, items) -> DataFrame:
+    return df.selectExpr("*", *(f"{e} AS {sql_path(name)}" for name, e in items))
 
 
-def agg_inputs(df: DataFrame, aggs):
-    """Materialize expression-aggregate inputs as ``_in_<out>`` columns (one
-    ``selectExpr``); returns the frame and the aggregate specs over plain
-    column names."""
-    inputs = tuple((f"_in_{o}", a) for _, a, o in aggs if isinstance(a, Scalar))
-    if inputs:
-        df = df.selectExpr("*", *project_sql(inputs))
+def agg_inputs(aggs):
+    """The ``Extend`` items that materialize expression-aggregate inputs as
+    ``_in_<out>`` columns, and the aggregate specs over plain column names."""
+    items = tuple((f"_in_{o}", a.to_sql()) for _, a, o in aggs if isinstance(a, Scalar))
     norm = tuple((f, f"_in_{o}" if isinstance(a, Scalar) else a, o) for f, a, o in aggs)
-    return df, norm
+    return items, norm
 
 
 def build(op: Op, inputs: tuple[DataFrame, ...], db: dict[str, DataFrame]) -> DataFrame:
@@ -482,27 +491,34 @@ def build(op: Op, inputs: tuple[DataFrame, ...], db: dict[str, DataFrame]) -> Da
         how = {"inner": "inner", "left": "left_outer", "right": "right_outer", "full": "full_outer"}[
             op.kind
         ]
-        return l.join(r, on=equi_on(l, r, op.cond), how=how)
+        return l.join(r, on=_equi_on(l, r, op.cond), how=how)
     (df,) = inputs
     if isinstance(op, Select):
         return df.filter(op.theta.to_sql())
+    if isinstance(op, Extend):
+        return _extend(df, op.items)
     if isinstance(op, Project):
-        return df.selectExpr(*project_sql(op.items))
+        return df.selectExpr(*(f"{e.to_sql()} AS {sql_path(o)}" for o, e in op.items))
     if isinstance(op, Rename):
-        return rename_cols(df, op.mapping)
+        for old, new in op.mapping:
+            df = df.withColumnRenamed(old, new)
+        return df
     if isinstance(op, FlattenRel):
-        return explode_promote(df, op.attr, op.outer)
+        return _explode_promote(df, op.attr, op.outer)
     if isinstance(op, FlattenTup):
-        return flatten_tuple(df, op.attr)
+        return _flatten_tuple(df, op.attr)
     if isinstance(op, NestTup):
-        return nest_tuple(df, op.attrs_in, op.out)
+        rest = [c for c in df.columns if c not in op.attrs_in]
+        return df.select(*rest, F.struct(*op.attrs_in).alias(op.out))
     if isinstance(op, NestRel):
         rest = [c for c in df.columns if c not in op.attrs_in]
         return df.groupBy(*rest).agg(
             F.collect_list(F.struct(*op.attrs_in)).alias(op.out)
         )
     if isinstance(op, GroupAgg):
-        df, norm = agg_inputs(df, op.aggs)
+        items, norm = agg_inputs(op.aggs)
+        if items:
+            df = _extend(df, items)
         aggs = [F.expr(f"{f}({'1' if a == '*' else sql_path(a)}) AS {sql_path(o)}")
                 for f, a, o in norm]
         if op.keys:
@@ -530,20 +546,15 @@ class SchemaCache:
     Keyed by operator value: operators are frozen dataclasses whose equality
     covers op id, parameters and the whole subtree, so a reparameterized
     operator gets its own entry while every unchanged subtree is shared. One
-    cache thus serves a query and all its schema alternatives over ``db``,
-    and a rewritten operator costs one new ``build`` on top of cached frames.
+    cache thus serves a query, all its schema alternatives and their traced
+    (instrumented) queries over ``db``, and a rewritten operator costs one
+    new ``build`` on top of cached frames.
     A derivation that Spark's analysis rejects raises and stores nothing.
-
-    ``instrumented`` is the tracing step's memo of instrumented subtrees below
-    the tracing cut. Besides the operator value and ``db`` they depend only on
-    the S₁ backtrace, which ``tracing.trace`` pins in ``instrumented_bt``.
     """
 
     def __init__(self, db: dict[str, DataFrame]):
         self.db = db
         self._frames: dict[Op, DataFrame] = {}
-        self.instrumented: dict[Op, object] = {}
-        self.instrumented_bt = None
 
     def frame(self, op: Op) -> DataFrame:
         df = self._frames.get(op)
@@ -583,15 +594,13 @@ def type_at(schema, path: str):
 
 def replace_children(op: Op, new_children: tuple[Op, ...]) -> Op:
     """Copy of ``op`` with its children replaced (op_id preserved)."""
-    import dataclasses
-
     if isinstance(op, TableAccess):
         return op
     if isinstance(op, (Join, Union)):
         l, r = new_children
-        return dataclasses.replace(op, left=l, right=r)
+        return replace(op, left=l, right=r)
     (c,) = new_children
-    return dataclasses.replace(op, child=c)
+    return replace(op, child=c)
 
 
 def rewrite(root: Op, per_op_subst: dict[int, dict[str, str]]) -> Op:

@@ -7,7 +7,7 @@ assumes these are supplied, e.g. by schema matching). SA enumeration:
 1. For every operator parameter attribute, resolve its source attribute
    (``M_sbt``) and look it up in the alternatives map (keyed by source path,
    e.g. ``"address2"`` or ``"o_lineitems.l_tax"``).
-2. Enumerate the cross product of per-reference choices, up to ``max_sas``
+2. Enumerate the cross product of per-reference choices, up to ``MAX_SAS``
    SAs; a ``UserWarning`` reports the combinations the cap left unexamined.
 3. Prune alternatives that make the query invalid (Spark analysis fails) or
    change the final output schema (fixed by definition — Figure 3's dashed
@@ -30,6 +30,8 @@ from pyspark.sql import types as T
 from . import algebra as A
 from .backtrace import Backtrace, backtrace, resolve_source
 from .nip import Tup
+
+MAX_SAS = 16  # SAs kept per question, S₁ included
 
 
 @dataclass
@@ -97,7 +99,6 @@ def enumerate_sas(
     whynot: Tup,
     schemas: A.SchemaCache,
     alt_map: dict[str, list[str]],
-    max_sas: int = 16,
 ) -> list[SchemaAlternative]:
     """Enumerate and prune SAs; the original query is always ``sa_id=1``."""
     choices: list[tuple[int, str, str, list[str]]] = []  # (op_id, subst_key, attr, options)
@@ -131,9 +132,9 @@ def enumerate_sas(
     n_combos = math.prod(len(opts) for _, _, _, opts in choices) - 1
     sa_id = 2
     for examined, combo in enumerate(combos):
-        if sa_id > max_sas:
+        if sa_id > MAX_SAS:
             warnings.warn(
-                f"enumerate_sas: stopped at max_sas={max_sas} SAs; "
+                f"enumerate_sas: stopped at MAX_SAS={MAX_SAS} SAs; "
                 f"{n_combos - examined} of {n_combos} attribute-alternative "
                 "combinations were not examined",
                 UserWarning,

@@ -19,10 +19,15 @@ never discards tuples; annotation columns substitute for the paper's
   original-schema table NIPs, no re-validation) — the substrate for the
   lineage-based WN++ baseline.
 
+The instrumented query is a plain NRAB query: the relaxed operators plus
+``Extend`` operators that add the annotation columns. It is built through
+the question's ``SchemaCache`` like any other query, so the SAs of a question
+share every instrumented subtree they have in common.
+
 Aggregations and relation nestings are not executed during tracing: the
-DataFrame is cut below the first group layer and the layers are recorded
-(keys, aggregate specs, deferred value predicates, post-aggregation
-selections) for the feasibility analysis of §5.4.
+query is cut below the first group layer and the layers are recorded (keys,
+aggregate specs, deferred value predicates, post-aggregation selections)
+for the feasibility analysis of §5.4.
 """
 from __future__ import annotations
 
@@ -35,6 +40,9 @@ from .alternatives import SchemaAlternative
 from .backtrace import Backtrace
 from .exprs import Pred, sql_path
 from .nip import Nip, Tup, to_spark_pred
+
+# the operators tracing records above the cut; none of them is executed
+_ABOVE_CUT = (A.GroupAgg, A.NestRel, A.Select, A.Project, A.Rename, A.NestTup, A.Dedup)
 
 
 @dataclass
@@ -61,206 +69,126 @@ class Traced:
     tables: tuple[str, ...]  # accessed tables in build order (for WN++)
 
 
-@dataclass(frozen=True)
-class _Sub:
-    """An instrumented subtree: its frame and the annotations the subtree
-    adds, each in build order."""
-
-    df: DataFrame
-    flags: tuple[tuple[int, str], ...] = ()  # (op_id, retained flag column)
-    sel_ops: frozenset[int] = frozenset()
-    tables: tuple[str, ...] = ()  # table accesses
-    compat: tuple[tuple[str, str], ...] = ()  # (table, `_k_<table>` column)
-    anno_cols: tuple[str, ...] = ()
-
-    def on(self, df: DataFrame) -> "_Sub":
-        return replace(self, df=df)
+def _flag(cond: str) -> str:
+    """A 0/1 annotation: SQL condition ``cond``, null counted as 0."""
+    return f"CAST(coalesce({cond}, false) AS INT)"
 
 
-def _int_flag(cond: str, name: str) -> str:
-    """A 0/1 annotation column: SQL condition ``cond``, null counted as 0."""
-    return f"CAST(coalesce({cond}, false) AS INT) AS {sql_path(name)}"
+def _annotations(op: A.Op, orig_bt: Backtrace):
+    """(operator, annotation column) for every annotation the instrumented
+    ``op`` carries, in build order."""
+    for n in A.walk(op):
+        if isinstance(n, (A.Select, A.Join)) or (isinstance(n, A.FlattenRel) and not n.outer):
+            yield n, f"_f{n.op_id}"
+        elif isinstance(n, A.TableAccess) and not orig_bt.table_nip(n.table).is_trivial():
+            yield n, f"_k_{n.table}"
 
 
-def _flag(sub: _Sub, op: A.Op, cond: str) -> _Sub:
-    name = f"_f{op.op_id}"
-    return replace(
-        sub,
-        df=sub.df.selectExpr("*", _int_flag(cond, name)),
-        flags=sub.flags + ((op.op_id, name),),
-        anno_cols=sub.anno_cols + (name,),
-    )
+def _instrument(op: A.Op, orig_bt: Backtrace) -> A.Op:
+    """The instrumented query of ``op``, a subtree below the tracing cut.
 
-
-class _Builder:
-    """Instrumented build of one SA's query.
-
-    A subtree that lies below the tracing cut (built before the cut is set,
-    with no GroupAgg or NestRel in it) depends only on its operator value,
-    ``db`` and the S₁ backtrace (the compat columns), so it is taken from and
-    stored in the question cache's ``instrumented`` memo and shared by every
-    SA. The cut, the layers and ``_c`` come from the SA's backtrace and are
-    built per SA.
+    Its annotations depend on ``orig_bt`` (S₁'s backtrace) only through the
+    compat SQL of the table accesses, which is part of the operator value.
+    Every ``Extend`` takes the id of the operator it annotates.
     """
-
-    def __init__(self, schemas: A.SchemaCache, bt: Backtrace, orig_bt: Backtrace):
-        self.schemas = schemas
-        self.bt = bt
-        self.orig_bt = orig_bt
-        self.layers: list[Layer] = []
-        self.cut_op_child: A.Op | None = None
-
-    # -- helpers -----------------------------------------------------------
-    def _deferred_for(self, op_id: int) -> dict[str, list[Nip]]:
-        out: dict[str, list[Nip]] = {}
-        for d in self.bt.deferred:
-            if d.op_id == op_id and not d.nip.is_trivial():
-                out.setdefault(d.out_attr, []).append(d.nip)
-        return out
-
-    def build(self, op: A.Op) -> _Sub:
-        sub = self._build(op)
-        # Re-validated consistency at the cut level (paper contribution ii).
-        if self.cut_op_child is not None:
-            cut_nip = self.bt.level_nips[self.cut_op_child.op_id]
-        else:
-            cut_nip = self.bt.level_nips[op.op_id]
-        return sub.on(sub.df.selectExpr("*", _int_flag(to_spark_pred(cut_nip), "_c")))
-
-    def _build(self, op: A.Op) -> _Sub:
-        if self.cut_op_child is not None:
-            return self._build_one(op)
-        memo = self.schemas.instrumented
-        sub = memo.get(op)
-        if sub is None:
-            sub = self._build_one(op)
-            if self.cut_op_child is None:  # no GroupAgg or NestRel in op's subtree
-                memo[op] = sub
-        return sub
-
-    # -- one instrumented operator over its built children -----------------
-    def _build_one(self, op: A.Op) -> _Sub:
-        if isinstance(op, A.TableAccess):
-            df, tnip = self.schemas.db[op.table], self.orig_bt.table_nip(op.table)
-            if tnip.is_trivial():
-                return _Sub(df, tables=(op.table,))
-            col = f"_k_{op.table}"
-            df = df.selectExpr("*", _int_flag(to_spark_pred(tnip), col))
-            return _Sub(df, tables=(op.table,), compat=((op.table, col),), anno_cols=(col,))
-
-        if isinstance(op, A.Select):
-            sub = self._build(op.child)
-            if self.layers:  # post-aggregation selection → virtual flag
-                self.layers[-1].post_filters.append((op.op_id, op.theta))
-                return sub
-            sub = _flag(sub, op, op.theta.to_sql())
-            return replace(sub, sel_ops=sub.sel_ops | {op.op_id})
-
-        if isinstance(op, A.Project):
-            sub = self._build(op.child)
-            if self.layers or self.cut_op_child is not None:
-                return sub  # post-layer projections only rename for display
-            # every annotation of the subtree is a column of its frame
-            items = A.project_sql(op.items)
-            return sub.on(sub.df.selectExpr(*items, *map(sql_path, sub.anno_cols)))
-
-        if isinstance(op, A.Rename):
-            sub = self._build(op.child)
-            if self.layers or self.cut_op_child is not None:
-                return sub
-            return sub.on(A.rename_cols(sub.df, op.mapping))
-
-        if isinstance(op, A.Dedup):
-            return self._build(op.child)
-
-        if isinstance(op, A.FlattenRel):
-            sub = self._build(op.child)
-            if not op.outer:
-                arr = sql_path(op.attr)
-                sub = _flag(sub, op, f"({arr} IS NOT NULL AND size({arr}) > 0)")
-            return sub.on(A.explode_promote(sub.df, op.attr, outer=True))
-
-        if isinstance(op, A.FlattenTup):
-            sub = self._build(op.child)
-            return sub.on(A.flatten_tuple(sub.df, op.attr))
-
-        if isinstance(op, A.Join):
-            l, r = self._build(op.left), self._build(op.right)
-            lm, rm = f"_m{op.op_id}l", f"_m{op.op_id}r"
-            ldf = l.df.selectExpr("*", f"1 AS {lm}")
-            rdf = r.df.selectExpr("*", f"1 AS {rm}")
-            df = ldf.join(rdf, on=A.equi_on(ldf, rdf, op.cond), how="full_outer")
-            cond = {
-                "inner": f"({lm} IS NOT NULL AND {rm} IS NOT NULL)",
-                "left": f"({lm} IS NOT NULL)",
-                "right": f"({rm} IS NOT NULL)",
-                "full": "true",
-            }[op.kind]
-            both = _Sub(
-                df,
-                l.flags + r.flags,
-                l.sel_ops | r.sel_ops,
-                l.tables + r.tables,
-                l.compat + r.compat,
-                l.anno_cols + r.anno_cols,
-            )
-            sub = _flag(both, op, cond)
-            return sub.on(sub.df.drop(lm, rm))
-
-        if isinstance(op, A.NestTup):
-            sub = self._build(op.child)
-            if self.layers or self.cut_op_child is not None:
-                return sub
-            return sub.on(A.nest_tuple(sub.df, op.attrs_in, op.out))
-
-        if isinstance(op, A.NestRel):
-            sub = self._build(op.child)
-            # terminal: don't nest — pre-nest rows witness the bag members
-            if self.cut_op_child is None and not self.layers:
-                self.cut_op_child = op.child
-            return sub
-
-        if isinstance(op, A.GroupAgg):
-            sub = self._build(op.child)
-            if self.cut_op_child is None and not self.layers:
-                self.cut_op_child = op.child
-                key_nip = self.bt.level_nips[op.child.op_id]
-                # ``_c`` compiles key_nip, so it is a function of the group key
-                # (collect_stats relies on it, DESIGN decision 2)
-                assert {k for k, _ in key_nip.fields} <= set(op.keys), (key_nip, op.keys)
-            else:
-                key_nip = Tup({})  # stacked layer: keys are lower-layer outputs
-            df, norm = A.agg_inputs(sub.df, op.aggs)
-            layer = Layer(
-                op.op_id,
-                op.keys,
-                norm,
-                key_nip,
-                value_preds=self._deferred_for(op.op_id),
-            )
-            self.layers.append(layer)
-            return sub.on(df)
-
+    if isinstance(op, (A.Union, A.AggPerTuple)):
         raise NotImplementedError(f"tracing does not support {type(op).__name__}")
+    if isinstance(op, A.TableAccess):
+        tnip = orig_bt.table_nip(op.table)
+        if tnip.is_trivial():
+            return op
+        return A.Extend(op, [(f"_k_{op.table}", _flag(to_spark_pred(tnip)))], op_id=op.op_id)
+
+    def flagged(child: A.Op, cond: str) -> A.Op:
+        return A.Extend(child, [(f"_f{op.op_id}", _flag(cond))], op_id=op.op_id)
+
+    if isinstance(op, A.Join):
+        lm, rm = f"_m{op.op_id}l", f"_m{op.op_id}r"
+        l, r = (A.Extend(_instrument(c, orig_bt), [(m, "1")], op_id=op.op_id)
+                for c, m in ((op.left, lm), (op.right, rm)))
+        cond = {
+            "inner": f"({lm} IS NOT NULL AND {rm} IS NOT NULL)",
+            "left": f"({lm} IS NOT NULL)",
+            "right": f"({rm} IS NOT NULL)",
+            "full": "true",
+        }[op.kind]
+        return flagged(replace(op, left=l, right=r, kind="full"), cond)
+    child = _instrument(op.child, orig_bt)
+    if isinstance(op, A.Select):
+        return flagged(child, op.theta.to_sql())
+    if isinstance(op, A.FlattenRel) and not op.outer:
+        arr = sql_path(op.attr)
+        child = flagged(child, f"({arr} IS NOT NULL AND size({arr}) > 0)")
+        return replace(op, child=child, outer=True)
+    if isinstance(op, A.Project):
+        # every annotation of the subtree is a column of its frame
+        annos = tuple((col, col) for _, col in _annotations(op.child, orig_bt))
+        return replace(op, child=child, items=op.items + annos)
+    if isinstance(op, A.Dedup):
+        return child
+    return A.replace_children(op, (child,))
+
+
+def _split(query: A.Op) -> tuple[list[A.Op], A.Op]:
+    """The operators from the tracing cut (the first GroupAgg or NestRel) up
+    to the root, bottom-up, and the subtree below the cut. Without a cut,
+    nothing is above it and the whole query is below."""
+    cut = next((n for n in A.walk(query) if isinstance(n, (A.GroupAgg, A.NestRel))), None)
+    if cut is None:
+        return [], query
+    above, op = [], query
+    while True:
+        if not isinstance(op, _ABOVE_CUT):
+            raise NotImplementedError(f"tracing does not support {op.label} above the cut")
+        above.append(op)
+        if op is cut:
+            return above[::-1], cut.child
+        op = op.child
 
 
 def trace(sa: SchemaAlternative, schemas: A.SchemaCache, orig_bt: Backtrace) -> Traced:
     """Run instrumented execution of ``sa.query`` over ``schemas.db``.
 
-    ``schemas`` is the question's cache: every SA traced through it shares
-    the instrumented subtrees below the tracing cut, which embed the compat
-    columns of ``orig_bt`` (S₁'s backtrace), so one cache serves one S₁.
+    ``schemas`` is the question's cache; ``orig_bt`` is S₁'s backtrace,
+    which supplies the compat columns.
     """
-    if schemas.instrumented_bt is None:
-        schemas.instrumented_bt = orig_bt
-    assert schemas.instrumented_bt == orig_bt, "one question cache, one S₁ backtrace"
-    b = _Builder(schemas, sa.bt, orig_bt)
-    sub = b.build(sa.query)
+    above, below = _split(sa.query)
+    bt, layers = sa.bt, []
+    for op in above:
+        if isinstance(op, A.GroupAgg):
+            key_nip = Tup({})  # stacked layer: keys are lower-layer outputs
+            if op is above[0]:
+                key_nip = bt.level_nips[below.op_id]
+                # ``_c`` compiles key_nip, so it is a function of the group key
+                # (collect_stats relies on it, DESIGN decision 2)
+                assert {k for k, _ in key_nip.fields} <= set(op.keys), (key_nip, op.keys)
+            value_preds: dict[str, list[Nip]] = {}
+            for d in bt.deferred:
+                if d.op_id == op.op_id and not d.nip.is_trivial():
+                    value_preds.setdefault(d.out_attr, []).append(d.nip)
+            layers.append(Layer(op.op_id, op.keys, A.agg_inputs(op.aggs)[1], key_nip,
+                                value_preds))
+        elif isinstance(op, A.Select):  # post-aggregation selection → virtual flag
+            if not layers:
+                raise NotImplementedError(f"tracing does not support {op.label} above "
+                                          "a relation nesting without an aggregation")
+            layers[-1].post_filters.append((op.op_id, op.theta))
+        # projections, renamings and nestings above the cut only shape the output
+
+    # re-validated consistency at the cut level (paper contribution ii), and
+    # the cut layer's aggregate inputs
+    cut = above[0] if above else below
+    items = A.agg_inputs(cut.aggs)[0] if isinstance(cut, A.GroupAgg) else ()
+    items += (("_c", _flag(to_spark_pred(bt.level_nips[below.op_id]))),)
+    instrumented = A.Extend(_instrument(below, orig_bt), items, op_id=cut.op_id)
+
+    annos = list(_annotations(below, orig_bt))
     return Traced(
-        df=sub.df,
-        flags=dict(sub.flags),
-        sel_ops=sub.sel_ops,
-        layers=b.layers,
-        compat_tables=dict(sub.compat),
-        tables=tuple(dict.fromkeys(sub.tables)),
+        df=schemas.frame(instrumented),
+        flags={n.op_id: col for n, col in annos if not isinstance(n, A.TableAccess)},
+        sel_ops=frozenset(n.op_id for n, _ in annos if isinstance(n, A.Select)),
+        layers=layers,
+        compat_tables={n.table: col for n, col in annos if isinstance(n, A.TableAccess)},
+        tables=tuple(dict.fromkeys(n.table for n in A.walk(below)
+                                   if isinstance(n, A.TableAccess))),
     )

@@ -109,6 +109,7 @@ def test_rewriting_consumes_no_op_id():
     queries built later do not depend on how many rewrites ran before."""
     t = A.TableAccess("t")
     ops = [A.Select(t, cmp("a", ">", 1))]
+    ops.append(A.Extend(ops[-1], [("e", "a + 1")]))
     ops.append(A.Project(ops[-1], {"a": "a", "b": "b", "s": "s", "r": "r"}))
     ops.append(A.Rename(ops[-1], {"b": "b2"}))
     ops.append(A.FlattenTup(ops[-1], "s"))

@@ -114,18 +114,18 @@ class TestPruning:
         sel2 = [o for o in A.walk(sas[1].query) if isinstance(o, A.Select)][0]
         assert "disc" in sel2.theta.attrs()
 
-    def test_max_sas_cap(self, spark):
+    def test_max_sas_cap(self, spark, monkeypatch):
         df = spark.createDataFrame([(1, 2, 3, 4)], "a int, b int, c int, d int")
         q = A.Project(
             A.TableAccess("t"), [("o1", "a"), ("o2", "b")]
         )
-        with pytest.warns(UserWarning, match=r"max_sas=3 SAs; 13 of 15 "):
+        monkeypatch.setattr(alternatives, "MAX_SAS", 3)
+        with pytest.warns(UserWarning, match=r"MAX_SAS=3 SAs; 13 of 15 "):
             sas = enumerate_sas(
                 q,
                 N.Tup({}),
                 A.SchemaCache({"t": df}),
                 {"a": ["b", "c", "d"], "b": ["a", "c", "d"]},
-                max_sas=3,
             )
         assert len(sas) <= 3
 

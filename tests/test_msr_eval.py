@@ -14,6 +14,7 @@ rows that fail it are null, as ``collect_stats`` collapses them.
 import itertools
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pandas as pd
@@ -293,6 +294,21 @@ def test_evaluator_matches_oracle(seed):
             for table in [*tr.compat_tables, None]:
                 assert ev.survivors(ops, table) == o_survivors(rows, tr, ops, table), (
                     ops, table)
+
+
+@pytest.mark.parametrize("n_flags", [63, 64])
+def test_flag_masks_hold_63_operators(n_flags):
+    """A row's flags are bits of one int64: 63 flagged operators are evaluated
+    (the top bit included), and a 64th raises instead of overflowing."""
+    stats, _, tr = random_case(0)
+    tr = replace(tr, flags={op: f"_f{op}" for op in range(100, 100 + n_flags)})
+    stats = stats.assign(**dict.fromkeys(tr.flags.values(), 1))
+    if n_flags > 63:
+        with pytest.raises(ValueError, match="64 flagged operators"):
+            CandidateEval(stats, tr)
+        return
+    ev = CandidateEval(stats, tr)
+    assert ev.survivors(tr.flags) == stats["_n"].sum() > 0
 
 
 def test_cases_cover_the_edge_cases():

@@ -1,12 +1,12 @@
-"""Every SA of a question shares one instrumented subtree below the tracing
-cut, built once through the question's cache (DESIGN decisions 1 and 8)."""
+"""The instrumented queries of a question's SAs are built through the
+question's one frame cache, so every instrumented subtree they share is built
+once (DESIGN decisions 1 and 8)."""
 from collections import Counter
 
 import pandas as pd
 import pytest
 
 from repro.core import algebra as A
-from repro.core import tracing
 from repro.core.alternatives import enumerate_sas
 from repro.core.msr import collect_stats
 from repro.core.tracing import trace
@@ -32,10 +32,6 @@ def questions(spark):
         query, _ = s.build_query()
         out[key] = (query, db, s.whynot(db, query), s.alternatives())
     return out
-
-
-def _has_layer_op(op: A.Op) -> bool:
-    return any(isinstance(n, (A.GroupAgg, A.NestRel)) for n in A.walk(op))
 
 
 def _sorted(stats: pd.DataFrame) -> pd.DataFrame:
@@ -65,33 +61,49 @@ def test_shared_subtrees_give_the_stats_of_a_fresh_trace(questions, key):
 
 
 @pytest.mark.parametrize("key", ["RE", "Q10"])
-def test_one_instrumented_build_per_operator_below_the_cut(questions, key, monkeypatch):
-    """Across every SA of a question, each instrumented operator value below
-    the cut (no GroupAgg or NestRel in its subtree) is built once."""
+def test_one_build_per_instrumented_operator(questions, key, monkeypatch):
+    """Across every SA of a question, each operator value of the instrumented
+    queries is built once through the question's cache, and the SAs share the
+    ones they have in common. Tracing draws no operator id."""
     query, db, whynot, alts = questions[key]
     schemas = A.SchemaCache(db)
-    sas = enumerate_sas(query, whynot, schemas, alts)
-    build_one, built = tracing._Builder._build_one, Counter()
+    build, built = A.build, Counter()
 
-    def counting(self, op):
+    def counting(op, inputs, db):
         built[op] += 1
-        return build_one(self, op)
+        return build(op, inputs, db)
 
-    monkeypatch.setattr(tracing._Builder, "_build_one", counting)
-    per_sa = []
+    monkeypatch.setattr(A, "build", counting)
+    sas = enumerate_sas(query, whynot, schemas, alts)
+    before = A._next_id()
     for sa in sas:
         trace(sa, schemas, sas[0].bt)
-        per_sa.append({op for op in A.walk(sa.query) if not _has_layer_op(op)})
-    below = set().union(*per_sa)
-    assert sum(map(len, per_sa)) > len(below)  # the SAs do share operators
-    assert {op: built[op] for op in below} == dict.fromkeys(below, 1)
+    assert A._next_id() == before + 1
+    shared = Counter(built)
+    per_sa = []  # the operator values of each SA's instrumented query
+    for sa in sas:
+        built.clear()
+        trace(sa, A.SchemaCache(db), sas[0].bt)
+        per_sa.append(set(built))
+    instrumented = set().union(*per_sa)
+    assert sum(map(len, per_sa)) > len(instrumented)  # the SAs do share operators
+    assert instrumented <= set(shared)
+    assert set(shared.values()) == {1}
 
 
-def test_one_cache_serves_one_original_backtrace(questions):
+def test_one_cache_serves_two_original_backtraces(questions):
+    """The compat SQL of S₁'s backtrace is part of the instrumented operator
+    values, so S₁ traced under two different S₁ backtraces through one cache
+    gets, each time, the compat columns and stats of a fresh-cache trace."""
     query, db, whynot, alts = questions["RE"]
     schemas = A.SchemaCache(db)
     sas = enumerate_sas(query, whynot, schemas, alts)
-    assert sas[0].bt != sas[1].bt
-    trace(sas[0], schemas, sas[0].bt)
-    with pytest.raises(AssertionError, match="one S₁ backtrace"):
-        trace(sas[0], schemas, sas[1].bt)
+    stats = []
+    for orig_bt in (sas[0].bt, sas[1].bt, sas[0].bt):
+        shared = trace(sas[0], schemas, orig_bt)
+        fresh = trace(sas[0], A.SchemaCache(db), orig_bt)
+        assert shared.compat_tables == fresh.compat_tables
+        extra = tuple(shared.compat_tables.values())
+        stats.append(_sorted(collect_stats(shared, extra)))
+        pd.testing.assert_frame_equal(stats[-1], _sorted(collect_stats(fresh, extra)))
+    assert not stats[0].equals(stats[1])  # the two backtraces mark different compatibles
