@@ -24,6 +24,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field, replace
 
+from pyspark.errors import AnalysisException
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 from pyspark.sql.types import StructType
@@ -457,9 +458,17 @@ def _explode_promote(df: DataFrame, attr: str, outer: bool) -> DataFrame:
     return df.select(*[c for c in df.columns if c != "__e"], "__e.*")
 
 
-def _flatten_tuple(df: DataFrame, attr: str) -> DataFrame:
-    """Tuple flatten: promote the fields of struct ``attr``."""
-    inner = type_at(df.schema, attr).fieldNames()
+def _invalid(op: Op, attr: str, what: str = "an attribute") -> AnalysisException:
+    return AnalysisException(f"{op.label}: `{attr}` is not {what} of its input")
+
+
+def _flatten_tuple(op: FlattenTup, df: DataFrame) -> DataFrame:
+    """Tuple flatten: promote the fields of struct ``op.attr``."""
+    attr = op.attr
+    t = type_at(df.schema, attr)
+    if not isinstance(t, StructType):
+        raise _invalid(op, attr, "a struct attribute")
+    inner = t.fieldNames()
     promoted = [f"{sql_path(attr)}.{sql_path(f)} AS {sql_path(f)}" for f in inner]
     if "." in attr:  # nested struct path: promote fields, keep the rest
         return df.selectExpr("*", *promoted)
@@ -480,7 +489,11 @@ def agg_inputs(aggs):
 
 def build(op: Op, inputs: tuple[DataFrame, ...], db: dict[str, DataFrame]) -> DataFrame:
     """One level of the original NRAB semantics of Table 1: ``op`` applied to
-    its children's frames ``inputs`` (in ``op.children()`` order)."""
+    its children's frames ``inputs`` (in ``op.children()`` order).
+
+    It is the one validator of NRAB queries: an operator whose parameters
+    do not fit its input raises ``AnalysisException``, from Spark's
+    analysis or, where Catalyst would accept it, from the checks here."""
     if isinstance(op, TableAccess):
         return db[op.table]
     if isinstance(op, Union):
@@ -494,19 +507,28 @@ def build(op: Op, inputs: tuple[DataFrame, ...], db: dict[str, DataFrame]) -> Da
         return l.join(r, on=_equi_on(l, r, op.cond), how=how)
     (df,) = inputs
     if isinstance(op, Select):
+        # Catalyst's ResolveMissingReferences would resolve a path that a
+        # projection below dropped (σ[b](π[a](R)) reads R's b), so σ checks
+        # its own input
+        for p in sorted(op.theta.attrs()):
+            if type_at(df.schema, p) is None:
+                raise _invalid(op, p)
         return df.filter(op.theta.to_sql())
     if isinstance(op, Extend):
         return _extend(df, op.items)
     if isinstance(op, Project):
         return df.selectExpr(*(f"{e.to_sql()} AS {sql_path(o)}" for o, e in op.items))
     if isinstance(op, Rename):
+        columns = df.columns
         for old, new in op.mapping:
+            if old not in columns:  # ``withColumnRenamed`` would ignore it
+                raise _invalid(op, old, "a column")
             df = df.withColumnRenamed(old, new)
         return df
     if isinstance(op, FlattenRel):
         return _explode_promote(df, op.attr, op.outer)
     if isinstance(op, FlattenTup):
-        return _flatten_tuple(df, op.attr)
+        return _flatten_tuple(op, df)
     if isinstance(op, NestTup):
         rest = [c for c in df.columns if c not in op.attrs_in]
         return df.select(*rest, F.struct(*op.attrs_in).alias(op.out))
@@ -549,7 +571,8 @@ class SchemaCache:
     cache thus serves a query, all its schema alternatives and their traced
     (instrumented) queries over ``db``, and a rewritten operator costs one
     new ``build`` on top of cached frames.
-    A derivation that Spark's analysis rejects raises and stores nothing.
+    An invalid operator raises ``AnalysisException`` in ``build``, the one
+    validator, and stores nothing.
     """
 
     def __init__(self, db: dict[str, DataFrame]):

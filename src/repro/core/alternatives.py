@@ -9,9 +9,10 @@ assumes these are supplied, e.g. by schema matching). SA enumeration:
    e.g. ``"address2"`` or ``"o_lineitems.l_tax"``).
 2. Enumerate the cross product of per-reference choices, up to ``MAX_SAS``
    SAs; a ``UserWarning`` reports the combinations the cap left unexamined.
-3. Prune alternatives that make the query invalid (Spark analysis fails) or
-   change the final output schema (fixed by definition — Figure 3's dashed
-   subtrees).
+3. Prune alternatives that make the query invalid (``algebra.build``, the
+   one validator, raises ``AnalysisException`` while ``SchemaCache`` derives
+   the rewritten query's schema) or change the final output schema (fixed by
+   definition — Figure 3's dashed subtrees).
 
 ``S₁`` is always the unmodified query. Each SA carries the reparameterized
 query (same op ids), the set of changed operators (the SR "prefix" of
@@ -25,7 +26,6 @@ import warnings
 from dataclasses import dataclass
 
 from pyspark.errors import AnalysisException, ParseException
-from pyspark.sql import types as T
 
 from . import algebra as A
 from .backtrace import Backtrace, backtrace, resolve_source
@@ -60,38 +60,6 @@ def _derive_op_level_name(q: str, src: str, alt: str) -> str:
 
 def _schema_sig(schema) -> list[tuple[str, str]]:
     return [(f.name, f.dataType.simpleString()) for f in schema.fields]
-
-
-def _refs_valid(query: A.Op, schemas: A.SchemaCache) -> bool:
-    """Structural check: every operator parameter attribute must exist in the
-    operator's input schema. Catalyst's ``ResolveMissingReferences`` would
-    otherwise silently resolve a filter on a projected-away column, letting
-    invalid SAs (Figure 3's dashed subtrees) slip through schema validation.
-    A tuple flatten needs a struct and a relation flatten an array of
-    structs; operators are checked bottom-up, so an operator's input schema
-    is derived only once everything below it has passed.
-    """
-    for op in A.walk(query):
-        children = op.children()
-        if not children:
-            continue
-        if isinstance(op, A.Join):
-            l, r = (schemas.schema(c) for c in children)
-            if any(A.type_at(l, lc) is None or A.type_at(r, rc) is None for lc, rc in op.cond):
-                return False
-            continue
-        child_schema = schemas.schema(children[0])
-        for p in op.param_attrs():
-            if p != "*" and A.type_at(child_schema, p) is None:
-                return False
-        if isinstance(op, A.FlattenTup):
-            if not isinstance(A.type_at(child_schema, op.attr), T.StructType):
-                return False
-        elif isinstance(op, A.FlattenRel):
-            t = A.type_at(child_schema, op.attr)
-            if not (isinstance(t, T.ArrayType) and isinstance(t.elementType, T.StructType)):
-                return False
-    return True
 
 
 def enumerate_sas(
@@ -152,8 +120,6 @@ def enumerate_sas(
             continue
         q2 = A.rewrite(query, subst)
         try:
-            if not _refs_valid(q2, schemas):
-                continue
             sig = _schema_sig(schemas.schema(q2))
         except ParseException:
             raise  # malformed SQL text is a compiler bug, not an invalid SA

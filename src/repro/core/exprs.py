@@ -195,11 +195,14 @@ class Cmp(Pred):
         return Cmp(self.left.subst(mapping), self.op, self.right.subst(mapping))
 
     def holds(self, value) -> bool:
-        """Evaluate assuming ``left`` is the single attribute and right a const;
-        a missing value fails, as SQL's null comparison does."""
+        """Evaluate with ``value`` for ``left`` (the single attribute) against
+        the constant ``right``; a missing value fails, as SQL's null
+        comparison does."""
+        if not isinstance(self.right, Const):
+            raise NotImplementedError(f"{self!r} does not compare with a constant")
         if _missing(value):
             return False
-        c = self.right.value if isinstance(self.right, Const) else self.right
+        c = self.right.value
         return {
             "=": value == c,
             "!=": value != c,

@@ -4,7 +4,7 @@ From each schema alternative's annotated DataFrame we aggregate once into
 per-(group-key, flag-mask) statistics, then evaluate every candidate
 explanation — a set of operator ids = SA-changed operators ∪ a subset of
 relaxable operators — entirely from that small collected table, encoded once
-per SA as flag bitmasks and float arrays (:class:`CandidateEval`):
+per SA as boolean flag matrices and float arrays (:class:`CandidateEval`):
 
 * a candidate ``E`` *succeeds* iff a tuple matching the why-not NIP is
   producible when the operators in ``E`` are reparameterized: rows whose
@@ -135,10 +135,12 @@ def _nip_interval_feasible(nip: N.Nip, lo, hi):
 
 
 def _pred_interval_feasible(pred: Pred, lo, hi):
+    if not (isinstance(pred, Cmp) and isinstance(pred.right, Const)):
+        raise NotImplementedError(f"value predicate {pred!r} is not checkable on an interval")
     lo, hi = np.asarray(lo, float), np.asarray(hi, float)
     ok = ~np.isnan(lo)
     # no achievable value: nothing to compare (the constant may be no number)
-    if isinstance(pred, Cmp) and isinstance(pred.right, Const) and ok.any():
+    if ok.any():
         cst = pred.right.value
         ok &= {
             "=": (lo <= cst) & (cst <= hi),
@@ -148,7 +150,7 @@ def _pred_interval_feasible(pred: Pred, lo, hi):
             ">": hi > cst,
             ">=": hi >= cst,
         }[pred.op]
-    return ok  # uncheckable predicate: optimistic
+    return ok
 
 
 def _agg_interval(fn: str, g: dict[str, np.ndarray], out: str, subset_ok: bool):
@@ -227,32 +229,26 @@ def _reduce(cols: dict[str, np.ndarray], codes: np.ndarray, ngroups: int):
 class CandidateEval:
     """Evaluates every candidate explanation of one SA from its stats table.
 
-    Built once per SA: the flags of each stats row become two bitmasks
-    (``ones``: flag = 1, ``zeros``: flag = 0; a null flag is in neither),
-    counts and aggregate inputs become float arrays, and the group codes and
-    key post-filter results are computed once per group. A candidate ``E``
-    then costs a few whole-table array reductions: its allowed rows are
+    Built once per SA: the flags become two boolean matrices, stats rows ×
+    flagged operators (``one``: flag = 1, ``zero``: flag = 0; a null flag is
+    in neither), counts and aggregate inputs become float arrays, and the
+    group codes and key post-filter results are computed once per group. A
+    candidate ``E`` then costs a few whole-table array reductions: its allowed rows are
     those whose flags outside ``E`` are all 1. The lineage baselines read
     their successor counts from it too (:meth:`survivors`).
     """
 
     def __init__(self, stats: pd.DataFrame, tr: Traced):
-        if len(tr.flags) > 63:
-            raise ValueError(f"{len(tr.flags)} flagged operators exceed a 64-bit mask")
         self.tr = tr
-        self.bit = {op_id: 1 << i for i, op_id in enumerate(sorted(tr.flags))}
-        self.full = (1 << len(self.bit)) - 1
-        self.ones = np.zeros(len(stats), np.int64)
-        self.zeros = np.zeros(len(stats), np.int64)
-        for op_id, b in self.bit.items():
-            v = stats[tr.flags[op_id]].to_numpy(dtype=float, na_value=np.nan)
-            self.ones[v == 1] |= b
-            self.zeros[v == 0] |= b
+        self.index = {op_id: i for i, op_id in enumerate(sorted(tr.flags))}
+        flags = stats[[tr.flags[op_id] for op_id in self.index]].to_numpy(
+            dtype=float, na_value=np.nan)
+        self.one, self.zero = flags == 1, flags == 0
         self.cols = _columns(stats)
         self.n = self.cols["_n"]
         self.consistent = stats["_c"].to_numpy() == 1
         self.cols["_nc"] = self.n * self.consistent
-        self.orig_n = int(self.n[self.ones == self.full].sum())
+        self.orig_n = int(self.n[self.one.all(axis=1)].sum())
         # the baselines' source-compatibility flags (a null flag is not 1)
         self.compat = {
             table: stats[col].to_numpy(dtype=float, na_value=np.nan) == 1
@@ -302,18 +298,17 @@ class CandidateEval:
                     f"post-aggregation selection σ{op_id} [{pred}] reads neither "
                     "one group key nor one aggregate output")
 
-    def _bits(self, E: frozenset[int]) -> int:
-        return sum(self.bit.get(op_id, 0) for op_id in E)
+    def _indices(self, ops) -> list[int]:
+        return [self.index[op_id] for op_id in ops if op_id in self.index]
 
     def _allowed(self, E: frozenset[int]) -> np.ndarray:
-        return (self.ones | self._bits(E)) == self.full
+        return self.one[:, self._indices(self.index.keys() - E)].all(axis=1)
 
     def survivors(self, ops, table: str | None = None) -> int:
         """Rows (by ``_n``) whose flag is 1 for every operator in ``ops``;
         with ``table``, only successors of ``table``'s compatibles
         (``_k_<table>`` = 1). These are the baselines' successor counts."""
-        bits = self._bits(ops)
-        rows = (self.ones & bits) == bits
+        rows = self.one[:, self._indices(ops)].all(axis=1)
         if table is not None:
             rows &= self.compat[table]
         return int(self.n[rows].sum())
@@ -365,19 +360,19 @@ class CandidateEval:
         iff dropping them from the candidate makes it fail (their predicate
         blocks the qualifying group).
         """
-        if op_id not in self.bit:
+        if op_id not in self.index:
             smaller = E - {op_id}
             return not (smaller and self.success(smaller))
-        blocked = (self.zeros & self.bit[op_id]) != 0
+        blocked = self.zero[:, self.index[op_id]]
         rows = self.consistent & blocked & self._allowed(E | {op_id})
         return bool(self.n[rows].sum() > 0)
 
     def bounds(self, E: frozenset[int]) -> tuple[int, int]:
         """Loose UB on added/removed top-level rows (paper §5.4, loose bounds)."""
-        changed = self._bits(E)
+        changed = self._indices(E)
         if not changed:
             return 0, 0
-        newly = self._allowed(E) & ((self.zeros & changed) != 0)
+        newly = self._allowed(E) & self.zero[:, changed].any(axis=1)
         return int(self.n[newly].sum()), self.orig_n
 
 

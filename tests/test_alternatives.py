@@ -156,7 +156,7 @@ class TestPruning:
         return A.SchemaCache({"t": df})
 
     def test_relation_flatten_of_a_struct_pruned(self, nested):
-        """Exploding a struct is invalid: the SA is pruned, not analyzed."""
+        """Exploding a struct is invalid: the SA is pruned by Spark's analysis."""
         q = A.Project(
             A.FlattenRel(A.TableAccess("t"), "addrs"), [("name", "name"), ("city", "city")]
         )
@@ -164,7 +164,8 @@ class TestPruning:
         assert len(sas) == 1
 
     def test_tuple_flatten_of_an_array_pruned(self, nested):
-        """Promoting the fields of an array is invalid: the SA is pruned."""
+        """Promoting the fields of an array is invalid: the SA is pruned by
+        ``algebra.build``'s own check."""
         q = A.Project(
             A.FlattenTup(A.TableAccess("t"), "home"), [("name", "name"), ("city", "city")]
         )

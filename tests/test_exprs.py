@@ -77,6 +77,12 @@ class TestHolds:
         assert cmp("v", "!=", "x").holds("y")
         assert not cmp("v", "<=", 2).holds(None)
 
+    def test_cmp_with_an_attribute_raises(self):
+        """A value alone cannot be compared with another attribute: ``!=``
+        would otherwise hold for every value."""
+        with pytest.raises(NotImplementedError):
+            cmp("v", "!=", a("w")).holds(3)
+
     def test_and_or_holds(self):
         e = And(cmp("v", ">=", 1), cmp("v", "<=", 3))
         assert e.holds(2) and not e.holds(4)

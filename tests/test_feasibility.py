@@ -7,7 +7,7 @@ from repro.core import algebra as A
 from repro.core import nip as N
 from repro.core.alternatives import SchemaAlternative
 from repro.core.backtrace import backtrace
-from repro.core.exprs import cmp
+from repro.core.exprs import And, a, cmp
 from repro.core.msr import (
     _agg_interval,
     _columns,
@@ -144,6 +144,16 @@ class TestPredFeasibility:
     def test_bounds_inclusive(self):
         assert _pred_interval_feasible(cmp("v", ">=", 10), 0, 10)
         assert _pred_interval_feasible(cmp("v", "<=", 0), 0, 10)
+
+    @pytest.mark.parametrize("pred", [
+        cmp("v", ">", a("w")),
+        And(cmp("v", ">", 1), cmp("v", "<", 9)),
+    ], ids=["attr", "and"])
+    def test_uncheckable_predicate_raises(self, pred):
+        """Only a comparison with a constant is checked on an interval; any
+        other predicate raises instead of passing as feasible."""
+        with pytest.raises(NotImplementedError):
+            _pred_interval_feasible(pred, 0, 10)
 
 
 class TestNipFeasibility:

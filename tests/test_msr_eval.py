@@ -296,17 +296,14 @@ def test_evaluator_matches_oracle(seed):
                     ops, table)
 
 
-@pytest.mark.parametrize("n_flags", [63, 64])
-def test_flag_masks_hold_63_operators(n_flags):
-    """A row's flags are bits of one int64: 63 flagged operators are evaluated
-    (the top bit included), and a 64th raises instead of overflowing."""
+@pytest.mark.parametrize("n_flags", [64, 100])
+def test_flag_matrix_has_no_operator_cap(n_flags):
+    """Flags are boolean matrix columns, not bits of a fixed-width mask: a
+    SA with more flagged operators than a 64-bit mask holds is evaluated."""
     stats, _, tr = random_case(0)
     tr = replace(tr, flags={op: f"_f{op}" for op in range(100, 100 + n_flags)})
-    stats = stats.assign(**dict.fromkeys(tr.flags.values(), 1))
-    if n_flags > 63:
-        with pytest.raises(ValueError, match="64 flagged operators"):
-            CandidateEval(stats, tr)
-        return
+    flags = pd.DataFrame(1, index=stats.index, columns=list(tr.flags.values()))
+    stats = pd.concat([stats, flags], axis=1)
     ev = CandidateEval(stats, tr)
     assert ev.survivors(tr.flags) == stats["_n"].sum() > 0
 
