@@ -27,7 +27,7 @@ from __future__ import annotations
 from ..core import algebra as A
 from ..core.alternatives import SchemaAlternative
 from ..core.backtrace import backtrace
-from ..core.msr import CandidateEval, collect_stats
+from ..core.msr import CandidateEval, collect_stats, per_sa
 from ..core.tracing import trace
 
 
@@ -81,7 +81,7 @@ def wnpp(query: A.Op, db, whynot) -> list[frozenset[int]]:
     schemas = A.SchemaCache(db)
     bt = backtrace(query, whynot, schemas)
     traced = trace(SchemaAlternative(1, query, frozenset(), bt, "original"), schemas, bt)
-    stats = collect_stats(traced, extra_cols=tuple(traced.compat_tables.values()))
+    (stats,) = per_sa(collect_stats([traced], schemas), [traced])
     ev = CandidateEval(stats, traced)
 
     explanations: list[frozenset[int]] = []

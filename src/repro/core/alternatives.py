@@ -7,8 +7,7 @@ assumes these are supplied, e.g. by schema matching). SA enumeration:
 1. For every operator parameter attribute, resolve its source attribute
    (``M_sbt``) and look it up in the alternatives map (keyed by source path,
    e.g. ``"address2"`` or ``"o_lineitems.l_tax"``).
-2. Enumerate the cross product of per-reference choices, up to ``MAX_SAS``
-   SAs; a ``UserWarning`` reports the combinations the cap left unexamined.
+2. Enumerate the whole cross product of per-reference choices.
 3. Prune alternatives that make the query invalid (``algebra.build``, the
    one validator, raises ``AnalysisException`` while ``SchemaCache`` derives
    the rewritten query's schema) or change the final output schema (fixed by
@@ -21,8 +20,6 @@ Algorithm 4) and a re-run of schema backtracing under the substitution.
 from __future__ import annotations
 
 import itertools
-import math
-import warnings
 from dataclasses import dataclass
 
 from pyspark.errors import AnalysisException, ParseException
@@ -30,8 +27,6 @@ from pyspark.errors import AnalysisException, ParseException
 from . import algebra as A
 from .backtrace import Backtrace, backtrace, resolve_source
 from .nip import Tup
-
-MAX_SAS = 16  # SAs kept per question, S₁ included
 
 
 @dataclass
@@ -97,18 +92,7 @@ def enumerate_sas(
 
     combos = itertools.product(*(range(len(opts)) for _, _, _, opts in choices))
     next(combos)  # skip the all-original combo (already added)
-    n_combos = math.prod(len(opts) for _, _, _, opts in choices) - 1
-    sa_id = 2
-    for examined, combo in enumerate(combos):
-        if sa_id > MAX_SAS:
-            warnings.warn(
-                f"enumerate_sas: stopped at MAX_SAS={MAX_SAS} SAs; "
-                f"{n_combos - examined} of {n_combos} attribute-alternative "
-                "combinations were not examined",
-                UserWarning,
-                stacklevel=2,
-            )
-            break
+    for combo in combos:
         subst: dict[int, dict[str, str]] = {}
         parts = []
         for (op_id, key, q, opts), idx in zip(choices, combo):
@@ -116,8 +100,6 @@ def enumerate_sas(
                 continue
             subst.setdefault(op_id, {})[key] = opts[idx]
             parts.append(f"op{op_id}:{q}→{opts[idx]}")
-        if not subst:
-            continue
         q2 = A.rewrite(query, subst)
         try:
             sig = _schema_sig(schemas.schema(q2))
@@ -129,7 +111,6 @@ def enumerate_sas(
             continue  # output schema is fixed by definition — pruned
         bt2 = backtrace(q2, whynot, schemas)
         sas.append(
-            SchemaAlternative(sa_id, q2, frozenset(subst), bt2, ", ".join(parts))
+            SchemaAlternative(len(sas) + 1, q2, frozenset(subst), bt2, ", ".join(parts))
         )
-        sa_id += 1
     return sas

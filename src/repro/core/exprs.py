@@ -134,6 +134,36 @@ class Arith(Scalar):
         return f"({self.left} {self.op} {self.right})"
 
 
+def sql_case(on: str, values: list[str]) -> str:
+    """``values[i - 1]`` on the rows where attribute ``on`` is ``i``, as
+    Spark SQL; the value itself when every entry is the same."""
+    if len(set(values)) == 1:
+        return values[0]
+    whens = " ".join(f"WHEN {i} THEN {v}" for i, v in enumerate(values, 1))
+    return f"CASE {sql_path(on)} {whens} END"
+
+
+@dataclass(frozen=True)
+class Case(Scalar):
+    """``values[i - 1]`` on the rows where attribute ``on`` is ``i``."""
+
+    on: str
+    values: tuple[Scalar, ...]
+
+    def attrs(self) -> set[str]:
+        return {self.on}.union(*(v.attrs() for v in self.values))
+
+    def to_sql(self) -> str:
+        return sql_case(self.on, [v.to_sql() for v in self.values])
+
+    def subst(self, mapping: dict[str, str]) -> "Case":
+        return Case(Attr(self.on).subst(mapping).path,
+                    tuple(v.subst(mapping) for v in self.values))
+
+    def __repr__(self) -> str:
+        return f"case[{self.on}]({', '.join(map(repr, self.values))})"
+
+
 class Pred:
     """Base class for boolean conditions."""
 

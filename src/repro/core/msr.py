@@ -1,7 +1,8 @@
 """Step 4 — computing (approximate) MSRs from tracing annotations (§5.4).
 
-From each schema alternative's annotated DataFrame we aggregate once into
-per-(group-key, flag-mask) statistics, then evaluate every candidate
+The annotated DataFrames of a group of row-compatible schema alternatives
+(``tracing.groups``; S₁ is a group of its own) are aggregated in one Spark
+job into per-(SA, group-key, flag-mask) statistics. We then evaluate every candidate
 explanation — a set of operator ids = SA-changed operators ∪ a subset of
 relaxable operators — entirely from that small collected table, encoded once
 per SA as boolean flag matrices and float arrays (:class:`CandidateEval`):
@@ -38,8 +39,8 @@ from . import algebra as A
 from . import nip as N
 from .alternatives import SchemaAlternative, enumerate_sas
 from .backtrace import backtrace
-from .exprs import Cmp, Const, Pred, sql_path
-from .tracing import Traced, trace
+from .exprs import Cmp, Const, Pred, sql_case, sql_path
+from .tracing import Traced, groups, merge, trace
 
 _NUMERIC = (
     T.IntegerType,
@@ -69,46 +70,56 @@ class Explanation:
 
 
 # ---------------------------------------------------------------------------
-# statistics collection (one Spark aggregation per SA)
+# statistics collection (one Spark aggregation per group of SAs)
 # ---------------------------------------------------------------------------
 
 
-def collect_stats(tr: Traced, extra_cols: tuple[str, ...] = ()) -> pd.DataFrame:
-    """Aggregate the annotated DataFrame into per-(keys, mask) statistics.
+def collect_stats(group: list[Traced], schemas: A.SchemaCache) -> pd.DataFrame:
+    """Aggregate a group's merged frame (``tracing.merge``, built through
+    ``schemas``) into per-(``_sa``, keys, flags, compat flags, ``_c``)
+    statistics, in one Spark job; :func:`per_sa` splits the table by SA.
 
-    ``extra_cols`` adds further grouping columns (the baselines group by the
-    source-compatibility flags ``_k_<table>`` as well).
+    ``_c`` is the key constraint (DESIGN decision 2): rows failing it
+    collapse into one null-key group per mask, which never qualifies. A key
+    column is named after the group's first SA's key.
     """
-    flag_cols = [tr.flags[i] for i in sorted(tr.flags)] + list(extra_cols)
-    df = tr.df
-    if not tr.layers:
-        return df.groupBy(*flag_cols, "_c").agg(F.expr("count(1) AS _n")).toPandas()
-
-    layer0 = tr.layers[0]
-    keys = list(layer0.keys)
-    if not layer0.key_nip.is_trivial():
-        # ``_c`` is the key constraint (DESIGN decision 2): rows failing it
-        # collapse into one null-key group per mask, which never qualifies
-        keys = [F.expr(f"if(_c = 1, {sql_path(k)}, null) AS {sql_path(k)}")
-                for k in layer0.keys]
-    aggs = {"_n": "count(1)"}  # stats column -> SQL aggregate
-    schema_types = {f.name: f.dataType for f in df.schema.fields}
-    for fn, attr, out in layer0.aggs:
-        if attr == "*":
-            continue
-        x = sql_path(attr)
-        aggs[f"_cnt_{out}"] = f"count({x})"
-        if fn == "count" or not isinstance(schema_types.get(attr), _NUMERIC):
-            continue  # only what ``_agg_interval`` reads for ``fn``
-        aggs[f"_min_{out}"], aggs[f"_max_{out}"] = f"min({x})", f"max({x})"
-        if fn in ("avg", "sum"):
-            aggs[f"_sum_{out}"] = f"sum({x})"
-        if fn == "sum":
-            aggs[f"_pos_{out}"] = f"sum(greatest({x}, 0))"
-            aggs[f"_neg_{out}"] = f"sum(least({x}, 0))"
-    grouped = df.groupBy(*keys, *flag_cols, "_c").agg(
+    df = schemas.frame(merge(group))
+    tr = group[0]
+    cols = ["_sa", *(tr.flags[i] for i in sorted(tr.flags)), *tr.compat_tables.values(), "_c"]
+    keys, aggs = [], {"_n": "count(1)"}  # stats column -> SQL aggregate
+    if tr.layers:
+        for k, per_sa_keys in zip(tr.layers[0].keys, zip(*(t.layers[0].keys for t in group))):
+            key = sql_case("_sa", [sql_path(x) for x in per_sa_keys])
+            keys.append(F.expr(f"if(_c = 1, {key}, null) AS {sql_path(k)}"))
+        schema_types = {f.name: f.dataType for f in df.schema.fields}
+        for fn, attr, out in tr.layers[0].aggs:
+            if attr == "*":
+                continue
+            x = sql_path(attr)
+            aggs[f"_cnt_{out}"] = f"count({x})"
+            if fn == "count" or not isinstance(schema_types.get(attr), _NUMERIC):
+                continue  # only what ``_agg_interval`` reads for ``fn``
+            aggs[f"_min_{out}"], aggs[f"_max_{out}"] = f"min({x})", f"max({x})"
+            if fn in ("avg", "sum"):
+                aggs[f"_sum_{out}"] = f"sum({x})"
+            if fn == "sum":
+                aggs[f"_pos_{out}"] = f"sum(greatest({x}, 0))"
+                aggs[f"_neg_{out}"] = f"sum(least({x}, 0))"
+    grouped = df.groupBy(*keys, *cols).agg(
         *(F.expr(f"{e} AS {sql_path(col)}") for col, e in aggs.items()))
     return grouped.toPandas()
+
+
+def per_sa(stats: pd.DataFrame, group: list[Traced]) -> list[pd.DataFrame]:
+    """Each SA's rows of its group's stats table, with the key columns
+    under the SA's own key names."""
+    out = []
+    for i, tr in enumerate(group, 1):
+        rows = stats[stats["_sa"] == i].drop(columns="_sa").reset_index(drop=True)
+        if tr.layers:
+            rows = rows.rename(columns=dict(zip(group[0].layers[0].keys, tr.layers[0].keys)))
+        out.append(rows)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +263,7 @@ class CandidateEval:
         # the baselines' source-compatibility flags (a null flag is not 1)
         self.compat = {
             table: stats[col].to_numpy(dtype=float, na_value=np.nan) == 1
-            for table, col in tr.compat_tables.items() if col in stats
+            for table, col in tr.compat_tables.items()
         }
         if len(tr.layers) > 2:
             raise NotImplementedError(f"{len(tr.layers)} stacked aggregation layers")
@@ -397,12 +408,16 @@ def approximate_msrs(
         sas = [SchemaAlternative(1, query, frozenset(), bt, "original")]
     orig_bt = sas[0].bt
 
+    evals = {}
+    for group in groups([trace(sa, schemas, orig_bt) for sa in sas], schemas):
+        for tr, rows in zip(group, per_sa(collect_stats(group, schemas), group)):
+            evals[tr.sa.sa_id] = CandidateEval(rows, tr)
+
     labels = A.labels(query)
     found: dict[frozenset[int], Explanation] = {}
-
     for sa in sas:
-        tr = trace(sa, schemas, orig_bt)
-        ev = CandidateEval(collect_stats(tr), tr)
+        ev = evals[sa.sa_id]
+        tr = ev.tr
         relaxable = sorted(tr.flags) + [
             op_id for layer in tr.layers for op_id, _ in layer.post_filters
         ]

@@ -28,6 +28,13 @@ Aggregations and relation nestings are not executed during tracing: the
 query is cut below the first group layer and the layers are recorded (keys,
 aggregate specs, deferred value predicates, post-aggregation selections)
 for the feasibility analysis of §5.4.
+
+The traced SAs of a question are then merged, as in the paper's multi-SA
+plan (§5.3): :func:`groups` puts S₁ in a group of its own and every other SA
+in one group per set of *row-compatible* SAs, whose instrumented queries are
+equal below a chain of σ/π/``Extend`` operators. :func:`merge` builds a
+group's instrumented query: the shared subtree once per SA (``_sa`` =
+1..n), and each chain operator with its items switched on ``_sa``.
 """
 from __future__ import annotations
 
@@ -38,7 +45,7 @@ from pyspark.sql import DataFrame
 from . import algebra as A
 from .alternatives import SchemaAlternative
 from .backtrace import Backtrace
-from .exprs import Pred, sql_path
+from .exprs import Attr, Case, Pred, Scalar, sql_case, sql_path
 from .nip import Nip, Tup, to_spark_pred
 
 # the operators tracing records above the cut; none of them is executed
@@ -61,7 +68,9 @@ class Layer:
 class Traced:
     """Result of instrumented execution for one schema alternative."""
 
-    df: DataFrame  # annotated, unfiltered, cut below the first group layer
+    sa: SchemaAlternative
+    query: A.Op  # the instrumented query, cut below the first group layer
+    df: DataFrame  # its frame: annotated, unfiltered
     flags: dict[int, str]  # relaxable op_id → flag column name
     sel_ops: frozenset  # pre-layer selections (admit restrictive reparams)
     layers: list[Layer]
@@ -166,8 +175,12 @@ def trace(sa: SchemaAlternative, schemas: A.SchemaCache, orig_bt: Backtrace) -> 
             for d in bt.deferred:
                 if d.op_id == op.op_id and not d.nip.is_trivial():
                     value_preds.setdefault(d.out_attr, []).append(d.nip)
-            layers.append(Layer(op.op_id, op.keys, A.agg_inputs(op.aggs)[1], key_nip,
-                                value_preds))
+            # the cut layer's aggregates read the ``_in_<out>`` inputs its
+            # Extend computes, so the SAs of a group aggregate the same columns
+            # (a stacked layer's inputs are never read)
+            aggs = tuple((fn, attr if attr == "*" else f"_in_{out}", out)
+                         for fn, attr, out in op.aggs)
+            layers.append(Layer(op.op_id, op.keys, aggs, key_nip, value_preds))
         elif isinstance(op, A.Select):  # post-aggregation selection → virtual flag
             if not layers:
                 raise NotImplementedError(f"tracing does not support {op.label} above "
@@ -178,12 +191,16 @@ def trace(sa: SchemaAlternative, schemas: A.SchemaCache, orig_bt: Backtrace) -> 
     # re-validated consistency at the cut level (paper contribution ii), and
     # the cut layer's aggregate inputs
     cut = above[0] if above else below
-    items = A.agg_inputs(cut.aggs)[0] if isinstance(cut, A.GroupAgg) else ()
+    aggs = cut.aggs if isinstance(cut, A.GroupAgg) else ()
+    items = tuple((f"_in_{out}", attr.to_sql() if isinstance(attr, Scalar) else sql_path(attr))
+                  for _, attr, out in aggs if attr != "*")
     items += (("_c", _flag(to_spark_pred(bt.level_nips[below.op_id]))),)
     instrumented = A.Extend(_instrument(below, orig_bt), items, op_id=cut.op_id)
 
     annos = list(_annotations(below, orig_bt))
     return Traced(
+        sa=sa,
+        query=instrumented,
         df=schemas.frame(instrumented),
         flags={n.op_id: col for n, col in annos if not isinstance(n, A.TableAccess)},
         sel_ops=frozenset(n.op_id for n, _ in annos if isinstance(n, A.Select)),
@@ -192,3 +209,73 @@ def trace(sa: SchemaAlternative, schemas: A.SchemaCache, orig_bt: Backtrace) -> 
         tables=tuple(dict.fromkeys(n.table for n in A.walk(below)
                                    if isinstance(n, A.TableAccess))),
     )
+
+
+# ---------------------------------------------------------------------------
+# groups of row-compatible SAs, merged into one instrumented query
+# ---------------------------------------------------------------------------
+
+
+def _aligned(a: A.Op, b: A.Op, schemas: A.SchemaCache) -> bool:
+    """Are ``a`` and ``b`` equal below a chain of ``Extend``/π operators that
+    differ at most in the SQL of their items, each item with one type?"""
+    if a == b:
+        return True
+    return (isinstance(a, (A.Extend, A.Project)) and type(a) is type(b)
+            and a.op_id == b.op_id and [n for n, _ in a.items] == [n for n, _ in b.items]
+            and schemas.schema(a).simpleString() == schemas.schema(b).simpleString()
+            and _aligned(a.child, b.child, schemas))
+
+
+def _key_types(tr: Traced, schemas: A.SchemaCache) -> list[str]:
+    return [schemas.field_type(tr.query, k).simpleString() for k in tr.layers[0].keys]
+
+
+def _row_compatible(a: Traced, b: Traced, schemas: A.SchemaCache) -> bool:
+    """Do ``a`` and ``b`` trace the same rows, so that one frame holds the
+    annotations of both? Their flags name the same operators, their cut γ
+    aggregates the same inputs, and its keys have the same types."""
+    if a.flags != b.flags or a.compat_tables != b.compat_tables:
+        return False
+    if [l.aggs for l in a.layers[:1]] != [l.aggs for l in b.layers[:1]]:
+        return False
+    if a.layers and _key_types(a, schemas) != _key_types(b, schemas):
+        return False
+    return _aligned(a.query, b.query, schemas)
+
+
+def groups(traced: list[Traced], schemas: A.SchemaCache) -> list[list[Traced]]:
+    """S₁ (``traced[0]``) alone, then one group per set of row-compatible
+    SAs, in SA order. An SA that rewrites a flatten or a join, or an
+    operator below one, is row-compatible with no other SA that differs
+    from it there, and stays in a group of its own."""
+    out = [traced[:1]]
+    for tr in traced[1:]:
+        group = next((g for g in out[1:] if _row_compatible(g[0], tr, schemas)), None)
+        if group is None:
+            out.append([tr])
+        else:
+            group.append(tr)
+    return out
+
+
+def merge(group: list[Traced]) -> A.Op:
+    """The group's instrumented query: the rows of the subtree its SAs share,
+    once per SA (``_sa`` = 1..n, by ``explode``), under their chain
+    operators with every item switched on ``_sa``."""
+
+    def merged(ops: list[A.Op]) -> A.Op:
+        first = ops[0]
+        if all(op == first for op in ops):
+            sa = ("_sa", f"explode(sequence(1, {len(ops)}))")
+            return A.Extend(first, [sa], op_id=first.op_id)
+        # per item, each SA's value (the items of aligned operators)
+        values = [tuple(e for _, e in item) for item in zip(*(op.items for op in ops))]
+        names = [name for name, _ in first.items]
+        if isinstance(first, A.Project):
+            items = tuple(zip(names, (Case("_sa", es) for es in values))) + (("_sa", Attr("_sa")),)
+        else:
+            items = tuple(zip(names, (sql_case("_sa", list(es)) for es in values)))
+        return replace(first, child=merged([op.child for op in ops]), items=items)
+
+    return merged([tr.query for tr in group])

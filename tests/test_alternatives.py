@@ -1,4 +1,5 @@
 """Schema alternative enumeration and pruning (§5.2, Figure 3, Examples 13–15)."""
+import warnings
 from dataclasses import dataclass
 
 import pytest
@@ -114,20 +115,24 @@ class TestPruning:
         sel2 = [o for o in A.walk(sas[1].query) if isinstance(o, A.Select)][0]
         assert "disc" in sel2.theta.attrs()
 
-    def test_max_sas_cap(self, spark, monkeypatch):
+    def test_every_combination_examined(self, spark):
+        """Each of the 4 × 4 choices for two projection references is a
+        valid SA, and every one of them is kept: there is no cap."""
         df = spark.createDataFrame([(1, 2, 3, 4)], "a int, b int, c int, d int")
         q = A.Project(
             A.TableAccess("t"), [("o1", "a"), ("o2", "b")]
         )
-        monkeypatch.setattr(alternatives, "MAX_SAS", 3)
-        with pytest.warns(UserWarning, match=r"MAX_SAS=3 SAs; 13 of 15 "):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             sas = enumerate_sas(
                 q,
                 N.Tup({}),
                 A.SchemaCache({"t": df}),
                 {"a": ["b", "c", "d"], "b": ["a", "c", "d"]},
             )
-        assert len(sas) <= 3
+        assert [sa.sa_id for sa in sas] == list(range(1, 17))
+        items = {tuple(repr(e) for _, e in sa.query.items) for sa in sas}
+        assert items == {(x, y) for x in "abcd" for y in "bacd"}
 
 
     def test_join_key_resolves_against_its_own_side(self, spark):

@@ -120,7 +120,7 @@ class TestStatsColumns:
         schemas = A.SchemaCache(db)
         bt = backtrace(query, scn.whynot(db, query), schemas)
         tr = trace(SchemaAlternative(1, query, frozenset(), bt, "original"), schemas, bt)
-        stats = collect_stats(tr)
+        stats = collect_stats([tr], schemas)
         assert {c for c in stats.columns if c.startswith(AGG_PREFIXES)} == want
 
 

@@ -7,8 +7,6 @@ source table at the resolved path: selections, joins, flattens, renamings
 and projections only drop, pair up, unnest or rename source values.
 The same loop pins the number of schema alternatives each question keeps.
 """
-import warnings
-
 import pytest
 
 from repro.core import algebra as A
@@ -18,12 +16,12 @@ from repro.core.exprs import sql_path
 from repro.workloads.registry import all_scenarios
 
 SF = 0.004
-# SAs ``enumerate_sas`` keeps per question (Q4 has 18 valid SAs, capped at
-# MAX_SAS); the invalid ones are pruned by ``algebra.build``'s validation
+# SAs ``enumerate_sas`` keeps per question, every combination examined; the
+# invalid ones are pruned by ``algebra.build``'s validation
 N_SAS = {
     "C1": 1, "C2": 1, "C3": 2, "D1": 4, "D2": 2, "D3": 2, "D4": 2, "D5": 2,
     "T1": 2, "T2": 2, "T3": 2, "T4": 2, "TASD": 2,
-    "Q1": 6, "Q1F": 6, "Q3": 12, "Q3F": 12, "Q4": 16, "Q4F": 16,
+    "Q1": 6, "Q1F": 6, "Q3": 12, "Q3F": 12, "Q4": 18, "Q4F": 18,
     "Q6": 12, "Q6F": 12, "Q10": 2, "Q10F": 2, "Q13": 1, "Q13F": 1,
 }
 
@@ -80,9 +78,7 @@ def test_resolved_source_holds_the_values_read(spark, cache, key):
         cache["db"][scn.group] = scn.build_db(spark, SF)
     schemas = A.SchemaCache(cache["db"][scn.group])
     query, _ = scn.build_query()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)  # Q4's MAX_SAS warning
-        sas = enumerate_sas(query, scn.whynot(schemas.db, query), schemas, scn.alternatives())
+    sas = enumerate_sas(query, scn.whynot(schemas.db, query), schemas, scn.alternatives())
     assert len(sas) == N_SAS[key], [sa.desc for sa in sas]
     checks, reads, sources = [], {}, {}
     for op in A.walk(query):

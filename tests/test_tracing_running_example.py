@@ -93,7 +93,7 @@ class TestTracingAnnotations:
     def test_stats_are_small(self, db, setup):
         q, bt, sas, schemas = setup
         tr = trace(sas[0], schemas, bt)
-        stats = collect_stats(tr)
+        stats = collect_stats([tr], schemas)
         assert stats["_n"].sum() == 4
         assert set(stats.columns) >= {"_c", "_n"}
 
