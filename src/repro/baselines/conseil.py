@@ -26,7 +26,7 @@ def conseil(query: A.Op, db, whynot) -> list[frozenset[int]]:
     """
     schemas = A.SchemaCache(db)
     bt = backtrace(query, whynot, schemas)
-    traced = trace(SchemaAlternative(1, query, frozenset(), bt, "original"), schemas, bt)
+    traced = trace(SchemaAlternative(1, query, frozenset(), bt, "original"), bt)
     (stats,) = per_sa(collect_stats([traced], schemas), [traced])
     ev = CandidateEval(stats, traced)
 

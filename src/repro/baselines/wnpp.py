@@ -80,7 +80,7 @@ def wnpp(query: A.Op, db, whynot) -> list[frozenset[int]]:
     """Return WN++'s explanations (each a singleton operator set)."""
     schemas = A.SchemaCache(db)
     bt = backtrace(query, whynot, schemas)
-    traced = trace(SchemaAlternative(1, query, frozenset(), bt, "original"), schemas, bt)
+    traced = trace(SchemaAlternative(1, query, frozenset(), bt, "original"), bt)
     (stats,) = per_sa(collect_stats([traced], schemas), [traced])
     ev = CandidateEval(stats, traced)
 

@@ -45,7 +45,9 @@ class Backtrace:
 
 
 def _merge(a: Nip, b: Nip) -> Nip:
-    """Conjunctive merge of two NIPs over the same type (best effort)."""
+    """Conjunctive merge of two NIPs over the same type. Two unequal
+    constants or value predicates raise ``NotImplementedError``: their
+    conjunction is no NIP."""
     if isinstance(a, Wild):
         return b
     if isinstance(b, Wild):
@@ -57,7 +59,9 @@ def _merge(a: Nip, b: Nip) -> Nip:
         return Tup(out)
     if isinstance(a, Bag) and isinstance(b, Bag):
         return Bag(a.elems + b.elems, star=a.star or b.star)
-    return a  # conflicting constants: keep the first (conservative)
+    if a == b:
+        return a
+    raise NotImplementedError(f"backtracing cannot merge {a!r} and {b!r}")
 
 
 def _set_path(t: Tup, path: str, nip: Nip) -> Tup:
@@ -81,8 +85,10 @@ def source_step(op: A.Op, path: str, schemas: A.SchemaCache) -> tuple[int, str] 
     comes from, or ``None`` if the attribute is computed."""
     head, _, tail = path.partition(".")
     rest = "." + tail if tail else ""
-    if isinstance(op, (A.Select, A.Dedup, A.Union)):
-        return (0, path)  # a union resolves through its left input
+    if isinstance(op, A.Union):
+        raise NotImplementedError("an attribute of a union has no single source")
+    if isinstance(op, (A.Select, A.Dedup)):
+        return (0, path)
     if isinstance(op, A.Project):
         expr = dict(op.items).get(head)
         return (0, expr.path + rest) if isinstance(expr, Attr) else None

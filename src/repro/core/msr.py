@@ -1,8 +1,9 @@
 """Step 4 — computing (approximate) MSRs from tracing annotations (§5.4).
 
-The annotated DataFrames of a group of row-compatible schema alternatives
-(``tracing.groups``; S₁ is a group of its own) are aggregated in one Spark
-job into per-(SA, group-key, flag-mask) statistics. We then evaluate every candidate
+The instrumented queries of a group of row-compatible schema alternatives
+(``tracing.groups``; S₁ is a group of its own) are merged into one query,
+the only one built, and aggregated in one Spark job into per-(SA, group-key,
+flag-mask) statistics. We then evaluate every candidate
 explanation — a set of operator ids = SA-changed operators ∪ a subset of
 relaxable operators — entirely from that small collected table, encoded once
 per SA as boolean flag matrices and float arrays (:class:`CandidateEval`):
@@ -409,7 +410,7 @@ def approximate_msrs(
     orig_bt = sas[0].bt
 
     evals = {}
-    for group in groups([trace(sa, schemas, orig_bt) for sa in sas], schemas):
+    for group in groups([trace(sa, orig_bt) for sa in sas], schemas):
         for tr, rows in zip(group, per_sa(collect_stats(group, schemas), group)):
             evals[tr.sa.sa_id] = CandidateEval(rows, tr)
 

@@ -1,6 +1,6 @@
 """Step 3 — data tracing (§5.3).
 
-Executes one *instrumented* variant of the (SA-reparameterized) query that
+Rewrites the (SA-reparameterized) query into an *instrumented* variant that
 never discards tuples; annotation columns substitute for the paper's
 ``valid``/``retained``/``consistent`` flags:
 
@@ -19,9 +19,10 @@ never discards tuples; annotation columns substitute for the paper's
   original-schema table NIPs, no re-validation) — the substrate for the
   lineage-based WN++ baseline.
 
-The instrumented query is a plain NRAB query: the relaxed operators plus
-``Extend`` operators that add the annotation columns. It is built through
-the question's ``SchemaCache`` like any other query, so the SAs of a question
+The instrumented query is a plain NRAB query, returned as a value: the
+relaxed operators plus ``Extend`` operators that add the annotation columns.
+Tracing builds nothing; ``msr.collect_stats`` builds only the queries it
+aggregates, through the question's ``SchemaCache``, so the SAs of a question
 share every instrumented subtree they have in common.
 
 Aggregations and relation nestings are not executed during tracing: the
@@ -32,15 +33,15 @@ for the feasibility analysis of §5.4.
 The traced SAs of a question are then merged, as in the paper's multi-SA
 plan (§5.3): :func:`groups` puts S₁ in a group of its own and every other SA
 in one group per set of *row-compatible* SAs, whose instrumented queries are
-equal below a chain of σ/π/``Extend`` operators. :func:`merge` builds a
-group's instrumented query: the shared subtree once per SA (``_sa`` =
-1..n), and each chain operator with its items switched on ``_sa``.
+equal below a chain of σ/π/``Extend`` operators. It compares operator values,
+and reads the type of an item that differs off a frame enumeration built for
+the SA's plain query. :func:`merge` writes a group's instrumented query: the
+shared subtree once per SA (``_sa`` = 1..n), and each chain operator with its
+items switched on ``_sa``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-
-from pyspark.sql import DataFrame
 
 from . import algebra as A
 from .alternatives import SchemaAlternative
@@ -66,11 +67,11 @@ class Layer:
 
 @dataclass
 class Traced:
-    """Result of instrumented execution for one schema alternative."""
+    """The instrumented query of one schema alternative, and what the MSR
+    step reads about it."""
 
     sa: SchemaAlternative
     query: A.Op  # the instrumented query, cut below the first group layer
-    df: DataFrame  # its frame: annotated, unfiltered
     flags: dict[int, str]  # relaxable op_id → flag column name
     sel_ops: frozenset  # pre-layer selections (admit restrictive reparams)
     layers: list[Layer]
@@ -155,11 +156,10 @@ def _split(query: A.Op) -> tuple[list[A.Op], A.Op]:
         op = op.child
 
 
-def trace(sa: SchemaAlternative, schemas: A.SchemaCache, orig_bt: Backtrace) -> Traced:
-    """Run instrumented execution of ``sa.query`` over ``schemas.db``.
-
-    ``schemas`` is the question's cache; ``orig_bt`` is S₁'s backtrace,
-    which supplies the compat columns.
+def trace(sa: SchemaAlternative, orig_bt: Backtrace) -> Traced:
+    """The instrumented query of ``sa.query`` and its layers, as values:
+    nothing is built. ``orig_bt`` is S₁'s backtrace, which supplies the
+    compat columns.
     """
     above, below = _split(sa.query)
     bt, layers = sa.bt, []
@@ -201,7 +201,6 @@ def trace(sa: SchemaAlternative, schemas: A.SchemaCache, orig_bt: Backtrace) -> 
     return Traced(
         sa=sa,
         query=instrumented,
-        df=schemas.frame(instrumented),
         flags={n.op_id: col for n, col in annos if not isinstance(n, A.TableAccess)},
         sel_ops=frozenset(n.op_id for n, _ in annos if isinstance(n, A.Select)),
         layers=layers,
@@ -216,42 +215,74 @@ def trace(sa: SchemaAlternative, schemas: A.SchemaCache, orig_bt: Backtrace) -> 
 # ---------------------------------------------------------------------------
 
 
-def _aligned(a: A.Op, b: A.Op, schemas: A.SchemaCache) -> bool:
-    """Are ``a`` and ``b`` equal below a chain of ``Extend``/π operators that
-    differ at most in the SQL of their items, each item with one type?"""
-    if a == b:
-        return True
-    return (isinstance(a, (A.Extend, A.Project)) and type(a) is type(b)
-            and a.op_id == b.op_id and [n for n, _ in a.items] == [n for n, _ in b.items]
-            and schemas.schema(a).simpleString() == schemas.schema(b).simpleString()
-            and _aligned(a.child, b.child, schemas))
+def _differing(a: A.Op, b: A.Op) -> list[tuple[A.Op, A.Op, str]] | None:
+    """The items whose SQL differs, as (operator of ``a``, operator of ``b``,
+    item name), if ``a`` and ``b`` are equal below a chain of ``Extend``/π
+    operators with the same item names; ``None`` otherwise."""
+    out = []
+    while a != b:
+        if not (isinstance(a, (A.Extend, A.Project)) and type(a) is type(b)
+                and a.op_id == b.op_id and [n for n, _ in a.items] == [n for n, _ in b.items]):
+            return None
+        out += [(a, b, n) for (n, x), (_, y) in zip(a.items, b.items) if x != y]
+        a, b = a.child, b.child
+    return out
 
 
-def _key_types(tr: Traced, schemas: A.SchemaCache) -> list[str]:
-    return [schemas.field_type(tr.query, k).simpleString() for k in tr.layers[0].keys]
+def _type(sa: SchemaAlternative, op: A.Op | None, name: str, schemas: A.SchemaCache,
+          computed: dict[int, dict[str, str]]) -> str:
+    """The type of item ``name`` of ``op``, a chain operator of ``sa``'s
+    instrumented query, or of the cut-γ key ``name`` if ``op`` is ``None``,
+    read off frames enumeration built for ``sa.query``: a π item's from the
+    plain π with its op id, a key's or an ``_in_<out>`` input's from the
+    plain cut input. The computed inputs get one analysis per SA, kept in
+    ``computed``. Every other ``Extend`` item is a 0/1 flag (``_flag``) or a
+    join marker."""
+    if isinstance(op, A.Project):
+        return schemas.field_type(A.find_op(sa.query, op.op_id), name).simpleString()
+    if op is not None and not name.startswith("_in_"):
+        return "int"
+    above, below = _split(sa.query)
+    attr = name if op is None else next(a for _, a, out in above[0].aggs if f"_in_{out}" == name)
+    if not isinstance(attr, Scalar):
+        return schemas.field_type(below, attr).simpleString()
+    if sa.sa_id not in computed:
+        df = schemas.frame(below).selectExpr(*(f"{a.to_sql()} AS {sql_path('_in_' + out)}"
+                                               for _, a, out in above[0].aggs
+                                               if isinstance(a, Scalar)))
+        computed[sa.sa_id] = {f.name: f.dataType.simpleString() for f in df.schema.fields}
+    return computed[sa.sa_id][name]
 
 
-def _row_compatible(a: Traced, b: Traced, schemas: A.SchemaCache) -> bool:
+def _row_compatible(a: Traced, b: Traced, schemas: A.SchemaCache,
+                    computed: dict[int, dict[str, str]]) -> bool:
     """Do ``a`` and ``b`` trace the same rows, so that one frame holds the
-    annotations of both? Their flags name the same operators, their cut γ
-    aggregates the same inputs, and its keys have the same types."""
-    if a.flags != b.flags or a.compat_tables != b.compat_tables:
+    annotations of both? Their instrumented queries are equal below a chain
+    of ``Extend``/π operators whose items differ at most in SQL, each with
+    one type (the cut ``Extend``'s ``_in_<out>`` items are what the cut γs
+    aggregate), and the cut γs' keys have the same types. An item with the
+    same SQL, or a key with the same name, has the same type in both, since
+    the chain below it is aligned."""
+    items = _differing(a.query, b.query)
+    if items is None:
         return False
-    if [l.aggs for l in a.layers[:1]] != [l.aggs for l in b.layers[:1]]:
-        return False
-    if a.layers and _key_types(a, schemas) != _key_types(b, schemas):
-        return False
-    return _aligned(a.query, b.query, schemas)
+    keys = zip(a.layers[0].keys, b.layers[0].keys) if a.layers else ()
+    pairs = [(None, None, ka, kb) for ka, kb in keys if ka != kb]
+    pairs += [(x, y, n, n) for x, y, n in items]
+    return all(_type(a.sa, x, na, schemas, computed) == _type(b.sa, y, nb, schemas, computed)
+               for x, y, na, nb in pairs)
 
 
 def groups(traced: list[Traced], schemas: A.SchemaCache) -> list[list[Traced]]:
     """S₁ (``traced[0]``) alone, then one group per set of row-compatible
     SAs, in SA order. An SA that rewrites a flatten or a join, or an
     operator below one, is row-compatible with no other SA that differs
-    from it there, and stays in a group of its own."""
+    from it there, and stays in a group of its own. ``schemas`` holds the
+    frames of the SAs' plain queries."""
+    computed: dict[int, dict[str, str]] = {}  # SA id → its computed inputs' types
     out = [traced[:1]]
     for tr in traced[1:]:
-        group = next((g for g in out[1:] if _row_compatible(g[0], tr, schemas)), None)
+        group = next((g for g in out[1:] if _row_compatible(g[0], tr, schemas, computed)), None)
         if group is None:
             out.append([tr])
         else:

@@ -164,3 +164,34 @@ class TestOperatorRules:
         df = spark.createDataFrame([(1.0, 2.0)], "x double, y double")
         q = A.Project(A.TableAccess("t"), [("s", Arith("+", a("x"), a("y")))])
         assert resolve_source(q, "s", A.SchemaCache({"t": df})) is None
+
+
+class TestNoSilentApproximation:
+    """Backtracing raises where it would otherwise approximate silently."""
+
+    def test_equal_constants_on_one_source_merge(self, spark):
+        df = spark.createDataFrame([(1,)], "x int")
+        q = A.Project(A.TableAccess("t"), [("a", "x"), ("b", "x")])
+        bt = backtrace(q, N.tup(a=1, b=1), A.SchemaCache({"t": df}))
+        assert bt.table_nip("t").as_dict()["x"] == N.Val(1)
+
+    @pytest.mark.parametrize("other", [N.Val(2), N.ValPred(cmp("b", ">", 0))],
+                             ids=["constant", "value-predicate"])
+    def test_unequal_constraints_on_one_source_raise(self, spark, other):
+        """x = 1 and x = 2 (or x > 0) is no NIP: keeping the first constraint
+        would explain a different missing answer."""
+        df = spark.createDataFrame([(1,)], "x int")
+        q = A.Project(A.TableAccess("t"), [("a", "x"), ("b", "x")])
+        with pytest.raises(NotImplementedError):
+            backtrace(q, N.Tup({"a": N.Val(1), "b": other}), A.SchemaCache({"t": df}))
+
+    def test_resolving_through_a_union_raises(self, spark):
+        """An attribute of a union comes from both inputs; resolving it
+        through the left one alone would hide the right one's source."""
+        df = spark.createDataFrame([(1,)], "x int")
+        q = A.Select(A.Union(A.TableAccess("a"), A.TableAccess("b")), cmp("x", ">", 0))
+        schemas = A.SchemaCache({"a": df, "b": df})
+        with pytest.raises(NotImplementedError):
+            resolve_source(q, "x", schemas)
+        bt = backtrace(q, N.tup(x=1), schemas)  # the NIP still goes to both inputs
+        assert bt.table_nip("a") == bt.table_nip("b") == N.tup(x=1)

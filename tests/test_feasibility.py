@@ -119,7 +119,7 @@ class TestStatsColumns:
         query, _ = scn.build_query()
         schemas = A.SchemaCache(db)
         bt = backtrace(query, scn.whynot(db, query), schemas)
-        tr = trace(SchemaAlternative(1, query, frozenset(), bt, "original"), schemas, bt)
+        tr = trace(SchemaAlternative(1, query, frozenset(), bt, "original"), bt)
         stats = collect_stats([tr], schemas)
         assert {c for c in stats.columns if c.startswith(AGG_PREFIXES)} == want
 

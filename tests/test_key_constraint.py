@@ -40,10 +40,10 @@ def test_c_agrees_with_matches_on_every_traced_key(spark, dbs, key):
     sas = enumerate_sas(query, whynot, schemas, alts)
     seen = set()
     for sa in sas:
-        tr = trace(sa, schemas, sas[0].bt)
+        tr = trace(sa, sas[0].bt)
         layer0 = tr.layers[0]
         assert not layer0.key_nip.is_trivial()
-        for row in tr.df.select(*layer0.keys, "_c").distinct().collect():
+        for row in schemas.frame(tr.query).select(*layer0.keys, "_c").distinct().collect():
             keys = {k: row[k] for k in layer0.keys}
             assert row["_c"] == int(N.matches(keys, layer0.key_nip)), (sa.sa_id, row)
             seen.add(row["_c"])

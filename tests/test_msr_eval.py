@@ -272,7 +272,7 @@ def random_case(seed):
         r.update({col: rng.choice([1, 1, 0, None]) for col in compat_tables.values()})
         r["_nc"] = r["_n"] * r["_c"]  # the oracle's consistent rows; not a stats column
     stats = pd.DataFrame(rows, columns=[*cols, *compat_tables.values()])
-    tr = Traced(sa=None, query=None, df=None, flags=flags, sel_ops=sel_ops,
+    tr = Traced(sa=None, query=None, flags=flags, sel_ops=sel_ops,
                 layers=layers, compat_tables=compat_tables, tables=())
     return stats, rows, tr
 
@@ -374,7 +374,7 @@ def _post(op_id, pred, layer=COUNT):
         "third-layer"])
 def test_unsupported_layers_raise(layers):
     stats = pd.DataFrame({"k": ["a"], "_f3": [1], "_c": [1], "_n": [2]})
-    tr = Traced(sa=None, query=None, df=None, flags={3: "_f3"}, sel_ops=frozenset(),
+    tr = Traced(sa=None, query=None, flags={3: "_f3"}, sel_ops=frozenset(),
                 layers=layers, compat_tables={}, tables=())
     with pytest.raises(NotImplementedError):
         CandidateEval(stats, tr)

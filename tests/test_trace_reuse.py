@@ -1,6 +1,7 @@
-"""The instrumented queries of a question's SAs are built through the
-question's one frame cache, so every instrumented subtree they share is built
-once, and the row-compatible SAs share one merged frame and one stats
+"""Tracing returns the instrumented queries of a question's SAs as values.
+Only the queries `collect_stats` aggregates are built, through the
+question's one frame cache, so every instrumented subtree they share is
+built once, and the row-compatible SAs share one merged frame and one stats
 aggregation (DESIGN decisions 1 and 8)."""
 from collections import Counter
 
@@ -8,9 +9,10 @@ import pandas as pd
 import pytest
 
 from repro.core import algebra as A
+from repro.core import msr
 from repro.core.alternatives import enumerate_sas
 from repro.core.msr import collect_stats, per_sa
-from repro.core.tracing import groups, trace
+from repro.core.tracing import groups, merge, trace
 from repro.workloads import running_example as RE
 from repro.workloads.registry import all_scenarios
 
@@ -20,12 +22,12 @@ SF = 0.004
 @pytest.fixture(scope="module")
 def questions(spark):
     """(query, db, whynot, alternatives) of the running example, Q10 (its SA
-    rewrites a projection) and D4 and T2 (their SAs rewrite a flatten, which
-    changes the traced rows)."""
+    rewrites a projection), Q4 (its 17 other SAs form one merged group) and D4
+    and T2 (their SAs rewrite a flatten, which changes the traced rows)."""
     scns = all_scenarios()
     out = {"RE": (RE.query(), RE.db(spark), RE.whynot_nip(), RE.alternatives())}
     dbs: dict[str, dict] = {}
-    for key in ("Q10", "D4", "T2"):
+    for key in ("Q10", "Q4", "D4", "T2"):
         s = scns[key]
         if s.group not in dbs:
             dbs[s.group] = s.build_db(spark, SF)
@@ -41,72 +43,74 @@ def _sorted(stats: pd.DataFrame) -> pd.DataFrame:
 
 @pytest.mark.parametrize("key", ["RE", "Q10", "D4", "T2"])
 def test_shared_subtrees_give_the_stats_of_a_fresh_trace(questions, key):
-    """Oracle: each SA traced through the shared question cache yields the
-    annotations and the stats (compat columns included) of a trace with a
-    fresh cache of its own, which shares nothing. S₁ is traced again last,
-    so its whole subtree below the cut comes from the cache."""
+    """Oracle: each SA's stats (compat columns included), built through the
+    shared question cache, are the stats built through a fresh cache of
+    its own, which shares nothing. S₁ is aggregated again last, so its
+    whole instrumented query comes from the cache."""
     query, db, whynot, alts = questions[key]
     schemas = A.SchemaCache(db)
     sas = enumerate_sas(query, whynot, schemas, alts)
     assert len(sas) > 1
-    orig_bt = sas[0].bt
     for sa in sas + sas[:1]:
-        shared = trace(sa, schemas, orig_bt)
-        own = A.SchemaCache(db)
-        fresh = trace(sa, own, orig_bt)
-        for attr in ("flags", "sel_ops", "compat_tables", "tables", "layers"):
-            assert getattr(shared, attr) == getattr(fresh, attr), attr
+        tr = trace(sa, sas[0].bt)
         pd.testing.assert_frame_equal(
-            _sorted(collect_stats([shared], schemas)), _sorted(collect_stats([fresh], own))
+            _sorted(collect_stats([tr], schemas)),
+            _sorted(collect_stats([tr], A.SchemaCache(db))),
         )
 
 
-@pytest.mark.parametrize("key", ["RE", "Q10"])
-def test_one_build_per_instrumented_operator(questions, key, monkeypatch):
-    """Across every SA of a question, each operator value of the instrumented
-    queries is built once through the question's cache, and the SAs share the
-    ones they have in common. Tracing draws no operator id."""
+@pytest.mark.parametrize("key", ["RE", "Q10", "Q4"])
+def test_only_the_stats_queries_are_built(questions, key, monkeypatch):
+    """`rp` builds, after SA enumeration, only the queries `collect_stats`
+    aggregates: tracing builds nothing and draws no operator id, and every
+    operator value built is a subtree of an aggregated query, built once.
+    So no SA of a merged group (Q4's) gets an instrumented frame of its
+    own."""
     query, db, whynot, alts = questions[key]
-    schemas = A.SchemaCache(db)
     build, built = A.build, Counter()
+    aggregated, sizes = set(), []
 
     def counting(op, inputs, db):
         built[op] += 1
         return build(op, inputs, db)
 
-    monkeypatch.setattr(A, "build", counting)
-    sas = enumerate_sas(query, whynot, schemas, alts)
-    before = A._next_id()
-    for sa in sas:
-        trace(sa, schemas, sas[0].bt)
-    assert A._next_id() == before + 1
-    shared = Counter(built)
-    per_sa = []  # the operator values of each SA's instrumented query
-    for sa in sas:
-        built.clear()
-        trace(sa, A.SchemaCache(db), sas[0].bt)
-        per_sa.append(set(built))
-    instrumented = set().union(*per_sa)
-    assert sum(map(len, per_sa)) > len(instrumented)  # the SAs do share operators
-    assert instrumented <= set(shared)
-    assert set(shared.values()) == {1}
+    def enumerating(*args):
+        sas = enumerate_sas(*args)
+        monkeypatch.setattr(A, "build", counting)  # from here on
+        return sas
+
+    def tracing(*args):
+        before = A._next_id()
+        tr = trace(*args)
+        assert not built and A._next_id() == before + 1
+        return tr
+
+    def collecting(group, schemas):
+        aggregated.update(A.walk(merge(group)))
+        sizes.append(len(group))
+        return collect_stats(group, schemas)
+
+    monkeypatch.setattr(msr, "enumerate_sas", enumerating)
+    monkeypatch.setattr(msr, "trace", tracing)
+    monkeypatch.setattr(msr, "collect_stats", collecting)
+    assert msr.approximate_msrs(query, db, whynot, alts)
+    assert built and set(built) <= aggregated
+    assert set(built.values()) == {1}
+    assert (max(sizes) > 1) == (key == "Q4"), sizes
 
 
 def test_one_cache_serves_two_original_backtraces(questions):
     """The compat SQL of S₁'s backtrace is part of the instrumented operator
-    values, so S₁ traced under two different S₁ backtraces through one cache
-    gets, each time, the compat columns and stats of a fresh-cache trace."""
+    values, so S₁ traced under two different S₁ backtraces and aggregated
+    through one cache gets, each time, the stats of a fresh cache."""
     query, db, whynot, alts = questions["RE"]
     schemas = A.SchemaCache(db)
     sas = enumerate_sas(query, whynot, schemas, alts)
     stats = []
     for orig_bt in (sas[0].bt, sas[1].bt, sas[0].bt):
-        shared = trace(sas[0], schemas, orig_bt)
-        own = A.SchemaCache(db)
-        fresh = trace(sas[0], own, orig_bt)
-        assert shared.compat_tables == fresh.compat_tables
-        stats.append(_sorted(collect_stats([shared], schemas)))
-        pd.testing.assert_frame_equal(stats[-1], _sorted(collect_stats([fresh], own)))
+        tr = trace(sas[0], orig_bt)
+        stats.append(_sorted(collect_stats([tr], schemas)))
+        pd.testing.assert_frame_equal(stats[-1], _sorted(collect_stats([tr], A.SchemaCache(db))))
     assert not stats[0].equals(stats[1])  # the two backtraces mark different compatibles
 
 
@@ -131,7 +135,7 @@ def test_merged_group_gives_each_sa_the_stats_of_a_group_of_one(spark, dbs, key)
     query, _ = s.build_query()
     schemas = A.SchemaCache(db)
     sas = enumerate_sas(query, s.whynot(db, query), schemas, s.alternatives())
-    found = groups([trace(sa, schemas, sas[0].bt) for sa in sas], schemas)
+    found = groups([trace(sa, sas[0].bt) for sa in sas], schemas)
     assert [tr.sa for tr in found[0]] == sas[:1]
     assert sorted(tr.sa.sa_id for g in found for tr in g) == [sa.sa_id for sa in sas]
     merged = [g for g in found if len(g) > 1]

@@ -27,11 +27,12 @@ class TestTracingAnnotations:
     def test_sa1_flags_match_figures_5_and_6(self, db, setup):
         """Under S1: flatten address2, σ year≥2019 — flags per Figures 5/6."""
         q, bt, sas, schemas = setup
-        tr = trace(sas[0], schemas, bt)
+        tr = trace(sas[0], bt)
         fl = [o for o in A.walk(q) if isinstance(o, A.FlattenRel)][0]
         sel = [o for o in A.walk(q) if isinstance(o, A.Select)][0]
         # the instrumented π already dropped `year`; (name, city) identifies rows
-        rows = tr.df.select("name", "city", tr.flags[fl.op_id], tr.flags[sel.op_id], "_c").collect()
+        df = schemas.frame(tr.query)
+        rows = df.select("name", "city", tr.flags[fl.op_id], tr.flags[sel.op_id], "_c").collect()
         by_key = {(r["name"], r["city"]): r for r in rows}
         # Sue's (NY, 2018): flatten-retained 1, selection-retained 0, consistent 1
         r = by_key[("Sue", "NY")]
@@ -45,16 +46,16 @@ class TestTracingAnnotations:
 
     def test_sa1_no_padded_rows_for_nonempty(self, db, setup):
         q, bt, sas, schemas = setup
-        tr = trace(sas[0], schemas, bt)
-        assert tr.df.count() == 4  # 2 address2 entries per person
+        tr = trace(sas[0], bt)
+        assert schemas.frame(tr.query).count() == 4  # 2 address2 entries per person
 
     def test_sa2_flags(self, db, setup):
         """Under S2 (flatten address1): Peter's NY/2010 row is consistent but
         not retained by the selection (year < 2019)."""
         q, bt, sas, schemas = setup
-        tr2 = trace(sas[1], schemas, bt)
+        tr2 = trace(sas[1], bt)
         sel = [o for o in A.walk(q) if isinstance(o, A.Select)][0]
-        rows = tr2.df.select("name", "city", tr2.flags[sel.op_id], "_c").collect()
+        rows = schemas.frame(tr2.query).select("name", "city", tr2.flags[sel.op_id], "_c").collect()
         by_key = {(r["name"], r["city"]): r for r in rows}
         r = by_key[("Peter", "NY")]  # address1 entry (NY, 2010)
         assert r["_c"] == 1 and r[tr2.flags[sel.op_id]] == 0
@@ -65,9 +66,10 @@ class TestTracingAnnotations:
         """WN++ substrate: under the original schema only Sue is compatible
         (Figure 4's consistentS1 column), without re-validation."""
         q, bt, sas, schemas = setup
-        tr = trace(sas[0], schemas, bt)
+        tr = trace(sas[0], bt)
         col = tr.compat_tables["person"]
-        vals = {r["name"]: r[col] for r in tr.df.select("name", col).distinct().collect()}
+        df = schemas.frame(tr.query)
+        vals = {r["name"]: r[col] for r in df.select("name", col).distinct().collect()}
         assert vals == {"Peter": 0, "Sue": 1}
 
     def test_revalidation_differs_from_source_compat(self, db, setup):
@@ -75,24 +77,25 @@ class TestTracingAnnotations:
         but not consistent after flattening (_c=0) — the false positive the
         paper's re-validation removes."""
         q, bt, sas, schemas = setup
-        tr = trace(sas[0], schemas, bt)
+        tr = trace(sas[0], bt)
         col = tr.compat_tables["person"]
         r = [
             x
-            for x in tr.df.select("name", "city", col, "_c").collect()
+            for x in schemas.frame(tr.query).select("name", "city", col, "_c").collect()
             if x["name"] == "Sue" and x["city"] == "LA"
         ][0]
         assert r[col] == 1 and r["_c"] == 0
 
     def test_cut_is_pre_nest(self, db, setup):
         q, bt, sas, schemas = setup
-        tr = trace(sas[0], schemas, bt)
+        tr = trace(sas[0], bt)
         assert tr.layers == []
-        assert "city" in tr.df.columns and "nList" not in tr.df.columns
+        columns = schemas.frame(tr.query).columns
+        assert "city" in columns and "nList" not in columns
 
     def test_stats_are_small(self, db, setup):
         q, bt, sas, schemas = setup
-        tr = trace(sas[0], schemas, bt)
+        tr = trace(sas[0], bt)
         stats = collect_stats([tr], schemas)
         assert stats["_n"].sum() == 4
         assert set(stats.columns) >= {"_c", "_n"}

@@ -32,4 +32,4 @@ def test_unsupported_shapes_raise(build):
     bt = Backtrace({}, defaultdict(lambda: N.Tup({})), [])
     sa = SchemaAlternative(1, query, frozenset(), bt, "original")
     with pytest.raises(NotImplementedError):
-        trace(sa, A.SchemaCache({}), bt)
+        trace(sa, bt)
